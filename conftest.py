@@ -57,7 +57,9 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    (shuffle partitions, Arrow, broadcast threshold) are set here, and so
+    is ``spark.ui.showConsoleProgress=false``, which keeps Spark's console
+    progress bars out of the test log.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
@@ -70,6 +72,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

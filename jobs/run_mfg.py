@@ -29,7 +29,11 @@ def main() -> None:
         help="run the Spark per-root fan-out instead of the driver kernel",
     )
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("repro-run-mfg").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("repro-run-mfg")
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
     spec = datasets.SPECS[args.dataset]
     pdf = datasets.load(args.dataset, sf=args.sf)
     p = spec.params

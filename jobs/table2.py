@@ -14,7 +14,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=1.0)
     args = ap.parse_args()
-    spark = SparkSession.builder.appName("repro-table2").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("repro-table2")
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
     print(format_table2(run_table2(spark, sf=args.sf)))
     spark.stop()
 

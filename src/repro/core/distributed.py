@@ -28,6 +28,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.gfcore import gfcore_spark
+from repro.core.runner import Params
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.stats import degree_order_v
 
@@ -53,9 +54,12 @@ def enumerate_mfg_distributed(
 
     ``algorithm`` is ``"vfree"`` or ``"filterv"`` (the distributable
     kernels). Returns ``{V_S: support timestamps}`` with original ids.
+    Raises ``ValueError`` for a non-positive ``tau_u``, ``tau_v`` or
+    ``lam``, as :class:`repro.core.runner.Params` does.
     """
     if algorithm not in ("vfree", "filterv"):
         raise ValueError(f"distributable kernels: vfree|filterv, got {algorithm}")
+    Params(tau_u, tau_v, lam)  # validates before any Spark job runs
     work = (
         gfcore_spark(edges, tau_u, tau_v, lam) if apply_graph_filter else edges
     )
@@ -72,23 +76,20 @@ def enumerate_mfg_distributed(
         from repro.core.vfree import vfree as _vfree
 
         root = int(pdf["root"].iloc[0])
-        index = TemporalBipartiteIndex.from_pandas(pdf)
-        order = {v: b_rank.value[v] for v in index.n_v}
+        order = b_rank.value  # global {v: rank}
         if algorithm == "vfree":
             groups = _vfree(
-                index, tau_u, tau_v, lam, order=order, roots=[root]
+                TemporalBipartiteIndex.from_pandas(pdf),
+                tau_u, tau_v, lam, order=order, roots=[root],
             )
         else:
             # FilterV processes candidates in id order; re-encode ids by the
             # global rank so its order matches the partitioning contract.
-            enc = {v: order[v] for v in index.n_v}
-            dec = {r: v for v, r in enc.items()}
-            remapped = TemporalBipartiteIndex(
-                (u, enc[v], t) for (u, v, t) in index.edges_iter()
+            remapped = TemporalBipartiteIndex.from_pandas(
+                pdf.assign(v=pdf["v"].map(order))
             )
-            raw = _filterv(
-                remapped, tau_u, tau_v, lam, roots=[enc[root]]
-            )
+            raw = _filterv(remapped, tau_u, tau_v, lam, roots=[order[root]])
+            dec = {order[v]: v for v in pdf["v"].unique().tolist()}
             groups = {
                 frozenset(dec[i] for i in vs): supp for vs, supp in raw.items()
             }

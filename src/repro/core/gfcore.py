@@ -23,6 +23,7 @@ Two implementations:
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -34,46 +35,30 @@ def gfcore_local(
 ) -> TemporalBipartiteIndex:
     """Synchronous peel to the (τ_V, τ_U, λ)-core; returns a new index.
 
-    Vectorized over flat edge arrays: every round recomputes the
+    Vectorized over the index's edge codes: every round recomputes the
     ``(u, t)`` / ``(v, t)`` m-degrees and the per-``v`` alive-snapshot
     counts with ``np.bincount`` and drops every violating edge at once,
     until no edge is dropped (the fixpoint — same subgraph as the paper's
-    recursive ``CorePrune`` cascade, see module docstring).
+    recursive ``CorePrune`` cascade, see module docstring). The core is
+    :meth:`TemporalBipartiteIndex.subset` of the surviving edges.
     """
-    import numpy as np
-
-    triples = list(index.edges_iter())
-    if not triples:
-        return TemporalBipartiteIndex([])
-    arr = np.asarray(triples, dtype=np.int64)
-    u_ids, u_code = np.unique(arr[:, 0], return_inverse=True)
-    v_ids, v_code = np.unique(arr[:, 1], return_inverse=True)
-    t_ids, t_code = np.unique(arr[:, 2], return_inverse=True)
-    n_uu, n_vv, n_tt = len(u_ids), len(v_ids), len(t_ids)
-    ut_key = u_code * n_tt + t_code
-    vt_key = v_code * n_tt + t_code
-    alive = np.ones(arr.shape[0], dtype=bool)
-    n_alive = int(alive.sum())
-    while n_alive:
-        ut = ut_key[alive]
-        vt = vt_key[alive]
-        d_ut = np.bincount(ut, minlength=n_uu * n_tt)
-        d_vt = np.bincount(vt, minlength=n_vv * n_tt)
+    n_u, n_v, n_t = len(index.u_ids), len(index.v_ids), len(index.t_ids)
+    ut_key = index.u * n_t + index.t
+    vt_key = index.v * n_t + index.t
+    alive = np.ones(len(index), dtype=bool)
+    while True:
+        d_ut = np.bincount(ut_key[alive], minlength=n_u * n_t)
+        d_vt = np.bincount(vt_key[alive], minlength=n_v * n_t)
         # Alive snapshots per v (frequency constraint).
-        alive_vt = np.unique(vt)
-        s_v = np.bincount(alive_vt // n_tt, minlength=n_vv)
-        bad = (
+        s_v = np.count_nonzero(d_vt.reshape(n_v, n_t), axis=1)
+        bad = alive & (
             (d_ut[ut_key] < tau_v)
             | (d_vt[vt_key] < tau_u)
-            | (s_v[v_code] < lam)
-        ) & alive
+            | (s_v[index.v] < lam)
+        )
         if not bad.any():
-            break
+            return index.subset(alive)
         alive &= ~bad
-        n_alive = int(alive.sum())
-    return TemporalBipartiteIndex(
-        map(tuple, arr[alive].tolist())
-    )
 
 
 def gfcore_spark(
@@ -85,13 +70,18 @@ def gfcore_spark(
     constraints and whole V-vertices violating the frequency constraint,
     then repeats until the edge count is stable (the peel fixpoint).
     ``localCheckpoint`` truncates the lineage each round so the plan does
-    not grow with the iteration count.
+    not grow with the iteration count. Raises ``RuntimeError`` when
+    ``max_iter`` rounds end without a fixpoint.
     """
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=True)
-    n = e.count()
-    for _ in range(max_iter):
-        if n == 0:
-            break
+    n, n_prev, rounds = e.count(), None, 0
+    while n not in (0, n_prev):
+        if rounds == max_iter:
+            raise RuntimeError(
+                f"gfcore_spark: no fixpoint after max_iter={max_iter} rounds; "
+                f"the last two edge counts were {n_prev} and {n}"
+            )
+        rounds += 1
         bad_ut = (
             e.groupBy("u", "t")
             .agg(F.count("*").alias("d"))
@@ -112,14 +102,10 @@ def gfcore_spark(
             .filter(F.col("s") < int(lam))
             .select("v")
         )
-        e2 = (
+        e = (
             e.join(bad_ut, ["u", "t"], "left_anti")
             .join(bad_vt, ["v", "t"], "left_anti")
             .join(bad_v, ["v"], "left_anti")
         ).localCheckpoint(eager=True)
-        n2 = e2.count()
-        e = e2
-        if n2 == n:
-            break
-        n = n2
+        n_prev, n = n, e.count()
     return e

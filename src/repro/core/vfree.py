@@ -4,20 +4,26 @@ Timestamp-oriented search: instead of verifying the frequency of
 ``V_S ∪ {v}`` per candidate (FilterV's vertex-oriented paradigm), each
 branch derives the valid candidate set directly from the survived
 timestamps ``C_T`` inherited from the parent (Lemma 4.1) and the dynamic
-counting structures:
+counting structures.
+
+All inputs come from the index's edge codes, laid out once per call in
+the processing order: per-``v`` edge keys ``t·|U|+u`` sorted by
+``(rank(v), t)`` with a parallel ``t`` array, and per-``(t,u)`` neighbor
+keys ``t·|V|+v'`` with an offset array. The counting structures are the
+paper's flat arrays:
 
 - ``cnt_U[t][u]`` — #m-neighbors of ``u`` inside the current ``V_S`` at
   ``t``; maintained incrementally across the recursion (+1 on entering a
   branch with ``v``, −1 on backtracking). Kept as one flat array indexed by
   ``t·|U|+u`` so a branch's update is a single vectorized scatter over the
-  edges of ``v`` restricted to ``C_T``.
-- ``cnt_V[t][v']`` / ``cnt_T[v']`` — #m-neighbors of ``v'`` inside
-  ``cand_U`` at ``t`` and #survived timestamps of ``V_S ∪ {v'}``. Both are
-  transient per valid-candidate-set computation; they are realized as one
-  multiplicity count over the concatenated ``Γ(u', t)`` key arrays of all
-  ``(u', t) ∈ cand_U × C_T'`` — exactly the paper's steps 3+4 iteration
-  domain, with ``np.unique`` playing the role of the ``visit_V``
-  first-touch reset.
+  edges of ``v`` restricted to ``C_T`` (one boolean mask).
+- ``cnt_V[t][v']`` — #m-neighbors of ``v'`` inside ``cand_U`` at ``t``:
+  one ``np.bincount`` over the ``|T|·|V|`` domain of the gathered
+  ``Γ(u', t)`` keys of all ``(u', t) ∈ cand_U × C_T'`` — exactly the
+  paper's steps 3+4 iteration domain. A fresh count per computation takes
+  the place of the ``visit_V`` reset, at an extra ``O(|T|·|V|)``.
+- ``cnt_T[v']`` — #survived timestamps of ``V_S ∪ {v'}``: the count of
+  ``cnt_V[t][v'] ≥ τ_U`` over ``t``.
 
 The four steps of §4.1 map onto array passes:
 
@@ -25,14 +31,13 @@ The four steps of §4.1 map onto array passes:
    reaches ``|V_S'|`` are the ``(t, cand_U)`` pairs.
 2. *termination check*: per-timestamp ``cand_U`` sizes ≥ τ_U select the
    survived timestamps ``C_T'``.
-3. *reverse-ascertain from V*: multiplicity of ``(t, v')`` over the
-   concatenated ``Γ(u',t)`` arrays ≥ τ_U marks qualified pairs.
-4. *survived-timestamp update*: per-``v'`` counts of qualified pairs give
-   ``cnt_T``; ``cnt_T ≥ λ`` yields ``cand_V``-split into ``C_V*``
-   (ids ≥ v) and the ``notRepeat`` flag (any id < v).
+3. *reverse-ascertain from V*: one offset gather of the ``Γ(u',t)`` key
+   ranges of the surviving ``(t, u')``, counted into ``cnt_V``.
+4. *survived-timestamp update*: ``cnt_T ≥ λ`` yields ``cand_V``, split
+   into ``C_V*`` (ranks ≥ v) and the ``notRepeat`` flag (any rank < v).
 
 Maximality needs no explicit verification: vertices are processed in
-ascending (degree-reordered) id order and a branch reports ``V_S'`` only
+ascending (degree-reordered) rank order and a branch reports ``V_S'`` only
 when ``C_V* = ∅`` and ``notRepeat`` holds — Theorem 4.1. Per Theorem 4.2
 one valid-candidate-set computation costs ``O(d_max(u)·d_max(v)·|T|)``, an
 ``O(|V|)`` improvement over FilterV.
@@ -45,18 +50,11 @@ without them, groups too small to be a (τ_U, τ_V)-biclique V-side (or, when
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.graph.index import TemporalBipartiteIndex
-
-
-def degree_order(index: TemporalBipartiteIndex) -> Dict[int, int]:
-    """VFree's ID reorder (Algorithm 4 line 3): rank V vertices in ascending
-    structural-degree order (ties by id, deterministically)."""
-    ranked = sorted(index.n_v, key=lambda v: (len(index.n_v[v]), v))
-    return {v: i for i, v in enumerate(ranked)}
+from repro.graph.index import TemporalBipartiteIndex, rank_by
 
 
 def vfree(
@@ -65,7 +63,7 @@ def vfree(
     tau_v: int,
     lam: int,
     reorder_ids: bool = True,
-    order: Optional[Dict[int, int]] = None,
+    order: Optional[Mapping[int, int]] = None,
     roots: Optional[Sequence[int]] = None,
     timers: Optional[Dict[str, float]] = None,
 ) -> Dict[FrozenSet[int], Set[int]]:
@@ -73,110 +71,100 @@ def vfree(
 
     ``order`` overrides the processing order with an explicit ``{v: rank}``
     map (used by the distributed fan-out, where ranks must be globally
-    consistent across tasks); otherwise ``reorder_ids`` selects between
-    degree order (the paper's default) and plain id order (the "without ID
-    reorder" ablation of Exp-7). ``roots`` restricts the top level to
-    branches rooted at the given vertices. ``timers["cm"]`` accumulates the
-    valid-candidate-set computation + counting-structure maintenance time
-    (Table 1's "VFree-CM").
+    consistent across tasks; it may hold vertices outside ``index``);
+    otherwise ``reorder_ids`` selects between degree order
+    (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default) and
+    plain id order (the "without ID reorder" ablation of Exp-7). ``roots``
+    restricts the top level to branches rooted at the given vertices.
+    ``timers["cm"]`` accumulates the valid-candidate-set computation +
+    counting-structure maintenance time (Table 1's "VFree-CM").
     """
     if timers is None:
         timers = {}
     timers.setdefault("cm", 0.0)
-
-    # ---- dense local encoding ------------------------------------------
-    if order is not None:
-        v_sorted = sorted(index.n_v, key=lambda v: order[v])
-    elif reorder_ids:
-        v_sorted = sorted(index.n_v, key=lambda v: (len(index.n_v[v]), v))
-    else:
-        v_sorted = sorted(index.n_v)
-    v_of_idx: List[int] = v_sorted
-    idx_of_v: Dict[int, int] = {v: i for i, v in enumerate(v_sorted)}
-    u_sorted: List[int] = sorted(index.n_u)
-    idx_of_u: Dict[int, int] = {u: i for i, u in enumerate(u_sorted)}
-    n_v, n_u, n_t = len(v_sorted), len(u_sorted), len(index.timestamps)
-    if n_v == 0 or n_u == 0 or n_t == 0:
+    n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
+    if len(index) == 0:
         return {}
 
-    # Per-v edge keys t·|U|+u grouped by timestamp; per-(u,t) neighbor keys
-    # t·|V|+v'.
-    vkeys: List[Dict[int, np.ndarray]] = [dict() for _ in range(n_v)]
-    for v, per_t in index.gamma_v.items():
-        vi = idx_of_v[v]
-        for t, us in per_t.items():
-            tp = index.t_pos[t]
-            vkeys[vi][tp] = np.asarray(
-                sorted(tp * n_u + idx_of_u[u] for u in us), dtype=np.int64
-            )
-    gu_keys: Dict[int, np.ndarray] = {}
-    for u, per_t in index.gamma_u.items():
-        ui = idx_of_u[u]
-        for t, vs in per_t.items():
-            tp = index.t_pos[t]
-            gu_keys[tp * n_u + ui] = np.asarray(
-                sorted(tp * n_v + idx_of_v[v] for v in vs), dtype=np.int64
-            )
+    # ---- processing order: rank[c] of V code c --------------------------
+    if order is not None:
+        rank = rank_by(np.array([order[v] for v in index.v_ids.tolist()]))
+    elif reorder_ids:
+        rank = index.degree_rank()
+    else:
+        rank = np.arange(n_v)
+    v_of_rank = index.v_ids[np.argsort(rank)]
+    rv, t = rank[index.v], index.t
+    tu = t * n_u + index.u
+
+    # Per-v edge keys t·|U|+u, sorted by (rank(v), t), with their t and the
+    # per-v offsets.
+    by_v = np.argsort(rv, kind="stable")
+    e_key, e_t = tu[by_v], t[by_v]
+    v_off = np.concatenate(([0], np.cumsum(np.bincount(rv, minlength=n_v))))
+    # Per-(t,u) neighbor keys t·|V|+v', with the per-(t,u) offsets.
+    g_key = (t * n_v + rv)[np.argsort(tu, kind="stable")]
+    g_off = np.concatenate(
+        ([0], np.cumsum(np.bincount(tu, minlength=n_t * n_u)))
+    )
 
     cnt_u = np.zeros(n_t * n_u, dtype=np.int64)  # flat cnt_U[t][u]
     in_vs = np.zeros(n_v, dtype=bool)
 
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def rec(vs: List[int], cand: List[int], ct: List[int]) -> None:
-        """VerifyFreeMFG(V_S, C_V, C_T) — vertices/timestamps in idx space."""
+    def rec(vs: List[int], cand: List[int], ct: np.ndarray) -> None:
+        """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space, C_T a mask."""
         size = len(vs) + 1
         for v in cand:
             t0 = time.perf_counter()
             in_vs[v] = True
-            per_t = vkeys[v]
-            key_list = [per_t[t] for t in ct if t in per_t]
+            lo, hi = v_off[v], v_off[v + 1]
+            keys = e_key[lo:hi][ct[e_t[lo:hi]]]  # v's edges inside C_T
             cv_star: List[int] = []
-            ct_new: List[int] = []
             not_repeat = True
-            if key_list:
-                keys = np.concatenate(key_list)
-                # Step 1: ascertain from U.
-                cnt_u[keys] += 1
-                covered = keys[cnt_u[keys] == size]  # (t,u): u ∈ cand_U at t
-                if covered.shape[0]:
-                    # Step 2: termination check / survived timestamps.
-                    tt = covered // n_u
-                    cu_count = np.bincount(tt, minlength=n_t)
-                    surv = covered[cu_count[tt] >= tau_u]
-                    ct_new = np.flatnonzero(cu_count >= tau_u).tolist()
-                    if len(ct_new) >= lam and surv.shape[0]:
-                        # Steps 3+4: reverse-ascertain from V, survived-
-                        # timestamp counting.
-                        cat = np.concatenate(
-                            [gu_keys[k] for k in surv.tolist()]
-                        )
-                        uniq, cnts = np.unique(cat, return_counts=True)
-                        qual = uniq[cnts >= tau_u]  # qualified (t, v') pairs
-                        cnt_t = np.bincount(qual % n_v, minlength=n_v)
-                        freq_v = np.flatnonzero(cnt_t >= lam)
-                        freq_v = freq_v[~in_vs[freq_v]]
-                        if freq_v.shape[0]:
-                            not_repeat = bool(freq_v[0] >= v)
-                            cv_star = freq_v[freq_v >= v].tolist()
+            # Step 1: ascertain from U.
+            cnt_u[keys] += 1
+            covered = keys[cnt_u[keys] == size]  # (t,u): u ∈ cand_U at t
+            # Step 2: termination check / survived timestamps.
+            tt = covered // n_u
+            cu_count = np.bincount(tt, minlength=n_t)
+            ct_new = cu_count >= tau_u
+            n_ct = int(np.count_nonzero(ct_new))
+            if n_ct >= lam:
+                # Steps 3+4: reverse-ascertain from V — gather Γ(u',t) of
+                # every surviving (t,u') — then survived-timestamp counting.
+                surv = covered[ct_new[tt]]
+                stop = g_off[surv + 1]
+                lens = stop - g_off[surv]
+                gather = np.repeat(stop - np.cumsum(lens), lens)
+                gather += np.arange(gather.shape[0])
+                cnt_v = np.bincount(g_key[gather], minlength=n_t * n_v)
+                qual = np.flatnonzero(cnt_v >= tau_u)  # qualified (t, v')
+                cnt_t = np.bincount(qual % n_v, minlength=n_v)
+                freq_v = np.flatnonzero(cnt_t >= lam)
+                freq_v = freq_v[~in_vs[freq_v]]
+                if freq_v.shape[0]:
+                    not_repeat = bool(freq_v[0] >= v)
+                    cv_star = freq_v[freq_v >= v].tolist()
             timers["cm"] += time.perf_counter() - t0
-            if len(ct_new) >= lam:
+            if n_ct >= lam:
                 if size + len(cv_star) >= tau_v:
                     rec(vs + [v], cv_star, ct_new)
                 if not cv_star and not_repeat and size >= tau_v:
-                    group = frozenset(v_of_idx[i] for i in vs) | {v_of_idx[v]}
-                    results[group] = {index.timestamps[t] for t in ct_new}
+                    group = frozenset(v_of_rank[vs + [v]].tolist())
+                    results[group] = set(index.t_ids[ct_new].tolist())
             # Restore cnt_U (lines 41-43).
             t0 = time.perf_counter()
-            if key_list:
-                cnt_u[keys] -= 1
+            cnt_u[keys] -= 1
             in_vs[v] = False
             timers["cm"] += time.perf_counter() - t0
 
-    all_t = list(range(n_t))
     if roots is None:
         top = list(range(n_v))
     else:
-        top = sorted(idx_of_v[r] for r in roots if r in idx_of_v)
-    rec([], top, all_t)
+        r = np.asarray(roots, dtype=np.int64)
+        c = np.minimum(np.searchsorted(index.v_ids, r), n_v - 1)
+        top = sorted(rank[c[index.v_ids[c] == r]].tolist())
+    rec([], top, np.ones(n_t, dtype=bool))
     return results

@@ -17,8 +17,6 @@ def msg(
     index: TemporalBipartiteIndex, tau_u: int, tau_v: int
 ) -> List[FrozenSet[int]]:
     """All maximal static groups of the static graph of ``index``."""
-    static = TemporalBipartiteIndex(
-        (u, v, 0) for (u, v) in {(u, v) for (u, v, _t) in index.edges_iter()}
-    )
+    static = TemporalBipartiteIndex.from_pandas(index.to_pandas().assign(t=0))
     groups: Dict[FrozenSet[int], Set[int]] = vfree(static, tau_u, tau_v, lam=1)
     return sorted(groups, key=lambda s: (len(s), sorted(s)))

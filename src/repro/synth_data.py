@@ -10,7 +10,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
-_N_CUSTOMER_PER_SF = 150_000
 _N_PART_PER_SF = 200_000
 
 
@@ -41,59 +40,6 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    n = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1),
-            "o_custkey": g.integers(1, n_cust + 1, n),
-            "o_orderstatus": g.choice(list("OFP"), n),
-            "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2406, n), unit="D"),
-            "o_orderpriority": g.choice(
-                ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
 def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
     """Skewed key column — for join-skew / cardinality-estimation papers."""
     g = _rng(seed)
@@ -102,13 +48,6 @@ def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, s
     weights /= weights.sum()
     keys = g.choice(ranks, size=n, p=weights)
     return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 the repository-root conftest.py)."""
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,14 @@ FIG2_MFGS = {
 }
 
 
-def random_temporal_graph(
+def random_triples(
     seed: int,
     n_u: int = 5,
     n_v: int = 7,
     n_t: int = 5,
     density: float = 0.4,
-) -> TemporalBipartiteIndex:
-    """Small random temporal bipartite graph, deterministic in ``seed``."""
+) -> List[Tuple[int, int, int]]:
+    """Distinct ``(u, v, t)`` triples of a small random graph, by seed."""
     rng = np.random.default_rng(seed)
     edges = [
         (u, v, t)
@@ -39,6 +41,15 @@ def random_temporal_graph(
         for t in range(n_t)
         if rng.random() < density
     ]
-    if not edges:
-        edges = [(0, 0, 0)]
-    return TemporalBipartiteIndex(edges)
+    return edges or [(0, 0, 0)]
+
+
+def random_temporal_graph(
+    seed: int,
+    n_u: int = 5,
+    n_v: int = 7,
+    n_t: int = 5,
+    density: float = 0.4,
+) -> TemporalBipartiteIndex:
+    """Small random temporal bipartite graph, deterministic in ``seed``."""
+    return TemporalBipartiteIndex(random_triples(seed, n_u, n_v, n_t, density))

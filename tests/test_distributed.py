@@ -64,3 +64,17 @@ def test_distributed_rejects_unknown_kernel(spark):
     edges = edges_from_pandas(spark, figure2_edges())
     with pytest.raises(ValueError):
         enumerate_mfg_distributed(edges, 2, 2, 3, algorithm="bk-alg+")
+
+
+@pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1)])
+def test_distributed_validates_params_before_spark(spark, params):
+    edges = edges_from_pandas(spark, figure2_edges())
+    sc = spark.sparkContext
+    group = f"validate-{params}"
+    sc.setJobGroup(group, "parameter validation")
+    try:
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_mfg_distributed(edges, *params)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []

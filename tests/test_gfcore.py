@@ -7,9 +7,37 @@ import pytest
 from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.vfree import vfree
+from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
 from repro.synth_data import figure2_edges
-from tests.conftest import random_temporal_graph
+from tests.conftest import random_temporal_graph, random_triples
+
+
+def dict_peel(triples, tau_u, tau_v, lam):
+    """Straightforward (τ_V, τ_U, λ)-core peel over a set of triples."""
+    edges = set(triples)
+    while True:
+        d_ut, d_vt, snaps = {}, {}, {}
+        for u, v, t in edges:
+            d_ut[u, t] = d_ut.get((u, t), 0) + 1
+            d_vt[v, t] = d_vt.get((v, t), 0) + 1
+            snaps.setdefault(v, set()).add(t)
+        keep = {
+            (u, v, t)
+            for u, v, t in edges
+            if d_ut[u, t] >= tau_v and d_vt[v, t] >= tau_u
+            and len(snaps[v]) >= lam
+        }
+        if keep == edges:
+            return edges
+        edges = keep
+
+
+#: Two peel rounds at (τ_U, τ_V, λ) = (2, 2, 1): dropping (3, 30, 0) leaves
+#: u=3 with one edge at t=0.
+CASCADE = [
+    (1, 10, 0), (1, 20, 0), (2, 10, 0), (2, 20, 0), (3, 20, 0), (3, 30, 0),
+]
 
 
 class TestLocalPeel:
@@ -43,6 +71,17 @@ class TestLocalPeel:
         core = gfcore_local(g, tau_u, tau_v, lam)
         assert vfree(core, tau_u, tau_v, lam) == expected
 
+    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("params", [(1, 1, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2)])
+    def test_matches_dict_peel(self, seed, params):
+        raw = random_triples(seed, n_u=7, n_v=6, n_t=6, density=0.45)
+        core = gfcore_local(TemporalBipartiteIndex(raw), *params)
+        assert set(core.edges_iter()) == dict_peel(raw, *params)
+
+    def test_cascade_needs_two_rounds(self):
+        core = gfcore_local(TemporalBipartiteIndex(CASCADE), 2, 2, 1)
+        assert sorted(core.edges_iter()) == sorted(CASCADE[:4])
+
     def test_monotone_in_parameters(self):
         g = random_temporal_graph(3, n_u=8, n_v=8, n_t=6, density=0.5)
         sizes = [
@@ -51,8 +90,6 @@ class TestLocalPeel:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_empty_graph(self):
-        from repro.graph.index import TemporalBipartiteIndex
-
         assert len(gfcore_local(TemporalBipartiteIndex([]), 2, 2, 2)) == 0
 
     def test_figure2_core_keeps_mfg_vertices(self, fig2):
@@ -92,3 +129,12 @@ class TestSparkPeel:
         )
         expected = sorted(gfcore_local(g, 2, 2, 2).edges_iter())
         assert got == expected
+
+    def test_spark_fails_loudly_at_max_iter(self, spark):
+        pdf = TemporalBipartiteIndex(CASCADE).to_pandas()
+        edges = edges_from_pandas(spark, pdf)
+        with pytest.raises(RuntimeError, match=r"max_iter=1\b.*6 and 5"):
+            gfcore_spark(edges, 2, 2, 1, max_iter=1)
+        core = gfcore_spark(edges, 2, 2, 1, max_iter=3).toPandas()
+        got = sorted(map(tuple, core[["u", "v", "t"]].values.tolist()))
+        assert got == sorted(CASCADE[:4])

@@ -1,11 +1,14 @@
 """Unit tests for the TemporalBipartiteIndex substrate."""
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graph.index import TemporalBipartiteIndex
+from tests.conftest import random_triples
 
 
 @pytest.fixture()
@@ -87,8 +90,68 @@ class TestDerived:
         assert idx.u_vertices == [1] and idx.v_vertices == [1]
         assert idx.s_neighbors_u(1) == {1} and idx.s_neighbors_v(1) == {1}
 
-    def test_restrict(self, small):
-        out = small.restrict(
-            keep_ut={(1, 0), (1, 1), (2, 1)}, keep_vt={(10, 0), (10, 1)}
-        )
+    def test_subset_recompacts_codes(self, small):
+        out = small.subset(small.v_ids[small.v] == 10)
         assert sorted(out.edges_iter()) == [(1, 10, 0), (1, 10, 1), (2, 10, 1)]
+        assert out.v_vertices == [10] and out.u_vertices == [1, 2]
+        assert out.v.tolist() == [0, 0, 0]
+
+    def test_degree_rank(self):
+        big = TemporalBipartiteIndex(
+            [(1, 10, 0), (2, 10, 0), (3, 10, 1), (1, 11, 0), (1, 12, 5)]
+        )
+        # d(10) = 3, d(11) = 1, d(12) = 1; ties by id.
+        assert big.degree_rank().tolist() == [2, 0, 1]
+
+
+def _reference(triples: List[Tuple[int, int, int]]) -> Dict[str, object]:
+    """Every view, built with dicts of sets straight from the raw triples."""
+    ref: Dict[str, dict] = {
+        k: {} for k in ("gamma_v", "gamma_u", "n_v", "n_u", "edge_ts")
+    }
+    ts = sorted({t for _u, _v, t in triples})
+    t_pos = {t: i for i, t in enumerate(ts)}
+    for u, v, t in set(triples):
+        ref["gamma_v"].setdefault(v, {}).setdefault(t, set()).add(u)
+        ref["gamma_u"].setdefault(u, {}).setdefault(t, set()).add(v)
+        ref["n_v"].setdefault(v, set()).add(u)
+        ref["n_u"].setdefault(u, set()).add(v)
+        ref["edge_ts"].setdefault((u, v), set()).add(t_pos[t])
+    ref["edge_ts"] = {e: sorted(p) for e, p in ref["edge_ts"].items()}
+    ref["v_edge_keys"] = {
+        v: sorted(u * len(ts) + t_pos[t] for t, us in per_t.items() for u in us)
+        for v, per_t in ref["gamma_v"].items()
+    }
+    ref.update(timestamps=tuple(ts), t_pos=t_pos, n_edges=len(set(triples)))
+    return ref
+
+
+class TestViewsMatchReference:
+    """The lazily built views equal dicts of sets built from raw triples,
+    duplicate rows included, through both constructors."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("build", ["triples", "pandas"])
+    def test_views(self, seed, build):
+        # Spread-out ids, so that no id equals its dense code.
+        raw = [
+            (3 * u + 7, 5 * v + 100, 2 * t + 50)
+            for u, v, t in random_triples(seed, n_u=6, n_v=5, n_t=7, density=0.35)
+        ]
+        rows = raw + raw[::3]  # duplicate rows
+        np.random.default_rng(seed).shuffle(rows)
+        if build == "triples":
+            idx = TemporalBipartiteIndex(rows)
+        else:
+            pdf = pd.DataFrame(rows, columns=["u", "v", "t"])
+            idx = TemporalBipartiteIndex.from_pandas(pdf)
+        ref = _reference(rows)
+        assert len(idx) == ref["n_edges"]
+        assert idx.timestamps == ref["timestamps"]
+        assert idx.t_pos == ref["t_pos"]
+        for name in ("gamma_v", "gamma_u", "n_v", "n_u"):
+            assert getattr(idx, name) == ref[name], name
+        assert {e: p.tolist() for e, p in idx.edge_ts.items()} == ref["edge_ts"]
+        for v, keys in ref["v_edge_keys"].items():
+            assert idx.v_edge_keys(v).tolist() == keys
+        assert sorted(idx.edges_iter()) == sorted(set(raw))

@@ -4,6 +4,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runner import ALGORITHMS, MFGRun, Params, run_mfg
+from repro.graph.index import TemporalBipartiteIndex
+from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS
 
 
@@ -40,3 +42,17 @@ def test_cm_share_bounded(fig2):
     run = run_mfg(fig2, Params(2, 2, 3), "filterv")
     assert 0 <= run.cm_pct <= 100
     assert run.cm_s <= run.wall_s
+
+
+@pytest.mark.parametrize("alg", ["vfree", "vfree-", "vfree-noreorder"])
+def test_vfree_path_builds_no_dict_view(monkeypatch, alg):
+    """The VFree path reads the edge codes only: building any dict view on
+    any index (input or core) would be a silent fallback to the slow path."""
+    index = TemporalBipartiteIndex.from_pandas(figure2_edges())
+
+    def refuse(self, build):
+        raise AssertionError(f"view {build.__name__} built on the VFree path")
+
+    monkeypatch.setattr(TemporalBipartiteIndex, "_view", refuse)
+    assert run_mfg(index, Params(2, 2, 3), alg).groups == FIG2_MFGS
+    assert index._views == {}

@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.vfree import degree_order, vfree
+from repro.core.gfcore import gfcore_local
+from repro.core.vfree import vfree
+from repro.experiments import datasets
+from repro.graph.index import TemporalBipartiteIndex
+from repro.graph.schema import edges_from_pandas
+from repro.graph.stats import degree_order_v
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
 
@@ -36,10 +41,23 @@ class TestRootedPartition:
 
 class TestOrdering:
     def test_degree_order_ranks(self, fig2):
-        order = degree_order(fig2)
+        order = dict(zip(fig2.v_vertices, fig2.degree_rank().tolist()))
         assert sorted(order.values()) == list(range(len(fig2.n_v)))
         degs = [len(fig2.n_v[v]) for v in sorted(order, key=order.get)]
         assert degs == sorted(degs)
+
+    def test_degree_rank_matches_spark_dataflow(self, spark):
+        """One degree order: the index's ranks equal ``degree_order_v``'s
+        on an analogue core."""
+        p = datasets.SPECS["D2"].params
+        core = gfcore_local(
+            TemporalBipartiteIndex.from_pandas(datasets.load("D2", sf=0.1)),
+            p.tau_u, p.tau_v, p.lam,
+        )
+        rows = degree_order_v(edges_from_pandas(spark, core.to_pandas()))
+        expected = {r["v"]: r["new_id"] for r in rows.collect()}
+        assert len(expected) > 10
+        assert dict(zip(core.v_vertices, core.degree_rank().tolist())) == expected
 
     def test_explicit_order_any_permutation_is_correct(self, fig2):
         """§4.2: correctness holds for *any* id assignment."""
@@ -61,8 +79,6 @@ class TestInstrumentation:
         assert 0 < timers["cm"]
 
     def test_empty_graph_returns_empty(self):
-        from repro.graph.index import TemporalBipartiteIndex
-
         assert vfree(TemporalBipartiteIndex([]), 1, 1, 1) == {}
 
     def test_tau_v_one_reports_frequent_singletons(self, fig2):
