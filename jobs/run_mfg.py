@@ -11,8 +11,8 @@ import argparse
 
 from pyspark.sql import SparkSession
 
+from repro.core import runner
 from repro.core.distributed import enumerate_mfg_distributed
-from repro.core.runner import run_mfg
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
@@ -22,13 +22,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dataset", default="D2", choices=datasets.DATASET_NAMES)
     ap.add_argument("--sf", type=float, default=1.0)
-    ap.add_argument("--algorithm", default="vfree")
+    ap.add_argument("--algorithm", default="vfree", choices=runner.ALGORITHMS)
     ap.add_argument(
         "--distributed",
         action="store_true",
-        help="run the Spark per-root fan-out instead of the driver kernel",
+        help="run the Spark fan-out over root batches (vfree only) instead "
+        "of the driver kernel",
     )
     args = ap.parse_args()
+    if args.distributed and args.algorithm != "vfree":
+        ap.error(f"--distributed runs vfree only, not {args.algorithm}")
     spark = (
         SparkSession.builder.appName("repro-run-mfg")
         .config("spark.ui.showConsoleProgress", "false")
@@ -46,7 +49,7 @@ def main() -> None:
             algorithm=args.algorithm,
         )
     else:
-        groups = run_mfg(
+        groups = runner.run_mfg(
             TemporalBipartiteIndex.from_pandas(pdf), p, args.algorithm
         ).groups
     print(f"# {spec.name} params={p} algorithm={args.algorithm} "

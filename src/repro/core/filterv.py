@@ -37,14 +37,8 @@ def filterv(
     use_candidate_filter: bool = True,
     use_array_verification: bool = True,
     timers: Optional[Dict[str, float]] = None,
-    roots: Optional[List[int]] = None,
 ) -> Dict[FrozenSet[int], Set[int]]:
-    """Enumerate all MFGs; returns ``{V_S: support timestamps}``.
-
-    ``roots`` restricts the top level to the given first vertices (all
-    other vertices still participate as candidates/X_V according to their
-    position in id order) — used by the distributed fan-out.
-    """
+    """Enumerate all MFGs; returns ``{V_S: support timestamps}``."""
     if timers is None:
         timers = {}
     timers.setdefault("cm", 0.0)
@@ -109,24 +103,5 @@ def filterv(
             enum(star_us[v], vs | {v}, list(rest), child_xv, tset & t_of[v])
             child_xv.append(v)
 
-    all_u: Set[int] = set(index.n_u)
-    if roots is None:
-        enum(all_u, frozenset(), all_v, [], all_t)
-    else:
-        # Rooted execution: branch for root r covers MFGs whose minimum id
-        # is r; earlier vertices act as X_V, later ones as candidates.
-        for r in roots:
-            pos = all_v.index(r)
-            nus = all_u & index.s_neighbors_v(r)
-            if len(nus) < tau_u:
-                continue
-            if not verify(nus, frozenset([r])):
-                continue
-            enum(
-                nus,
-                frozenset([r]),
-                all_v[pos + 1 :],
-                list(all_v[:pos]),
-                all_t & t_of[r],
-            )
+    enum(set(index.n_u), frozenset(), all_v, [], all_t)
     return results

@@ -70,12 +70,12 @@ def vfree(
     """Enumerate all MFGs; returns ``{V_S: support timestamps}``.
 
     ``order`` overrides the processing order with an explicit ``{v: rank}``
-    map (used by the distributed fan-out, where ranks must be globally
-    consistent across tasks; it may hold vertices outside ``index``);
-    otherwise ``reorder_ids`` selects between degree order
-    (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default) and
-    plain id order (the "without ID reorder" ablation of Exp-7). ``roots``
-    restricts the top level to branches rooted at the given vertices.
+    map (§4.2: any order gives the same result; it may hold vertices
+    outside ``index``); otherwise ``reorder_ids`` selects between degree
+    order (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default)
+    and plain id order (the "without ID reorder" ablation of Exp-7).
+    ``roots`` restricts the top level to branches rooted at the given
+    vertices (the distributed fan-out runs one batch of roots per task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM").
     """

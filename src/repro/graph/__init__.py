@@ -6,11 +6,10 @@ adjacency :class:`repro.graph.index.TemporalBipartiteIndex` used by the
 search kernels.
 """
 from repro.graph.index import TemporalBipartiteIndex
-from repro.graph.schema import EDGE_SCHEMA, temporal_edges, validate_edges
+from repro.graph.schema import EDGE_SCHEMA, validate_edges
 
 __all__ = [
     "EDGE_SCHEMA",
     "TemporalBipartiteIndex",
-    "temporal_edges",
     "validate_edges",
 ]

@@ -12,8 +12,6 @@ different vertices), matching the paper's disjoint vertex sets.
 """
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -30,14 +28,6 @@ EDGE_SCHEMA = StructType(
 
 #: Column order used everywhere for edge frames.
 EDGE_COLUMNS = ("u", "v", "t")
-
-
-def temporal_edges(
-    spark: SparkSession, triples: Iterable[Tuple[int, int, int]]
-) -> DataFrame:
-    """Build a distinct temporal-edge DataFrame from ``(u, v, t)`` triples."""
-    pdf = pd.DataFrame(list(triples), columns=list(EDGE_COLUMNS), dtype="int64")
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA).distinct()
 
 
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:

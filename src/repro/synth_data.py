@@ -1,62 +1,18 @@
-"""Synthetic OLAP data at a configurable scale factor.
+"""Deterministic synthetic temporal bipartite graphs (pandas frames).
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+The paper (Wu et al., VLDB 2024 — MFG enumeration) evaluates on 15 real
+temporal bipartite graphs that are not available offline; these generators
+build the Figure-2 running example and deterministic synthetic analogues
+(heavy-tailed noise + planted frequent groups). See DESIGN.md §4. Every
+generator is deterministic in its arguments.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-_N_LINEITEM_PER_SF = 6_000_000
-_N_ORDERS_PER_SF = 1_500_000
-_N_PART_PER_SF = 200_000
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-# ---------------------------------------------------------------------------
-# Temporal bipartite graphs (paper: Wu et al., VLDB 2024 — MFG enumeration)
-# ---------------------------------------------------------------------------
-#
-# The paper evaluates on 15 real temporal bipartite graphs that are not
-# available offline; these generators build deterministic synthetic analogues
-# (heavy-tailed noise + planted frequent groups). See DESIGN.md §4.
 
 def figure2_edges() -> pd.DataFrame:
     """The paper's Figure-2 running-example graph, reconstructed.

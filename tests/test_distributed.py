@@ -13,14 +13,14 @@ from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
 
-@pytest.mark.parametrize("algorithm", ["vfree", "filterv"])
+@pytest.mark.parametrize("algorithm", ["vfree"])
 def test_distributed_on_figure2(spark, algorithm):
     edges = edges_from_pandas(spark, figure2_edges())
     got = enumerate_mfg_distributed(edges, 2, 2, 3, algorithm=algorithm)
     assert got == FIG2_MFGS
 
 
-@pytest.mark.parametrize("algorithm", ["vfree", "filterv"])
+@pytest.mark.parametrize("algorithm", ["vfree"])
 @pytest.mark.parametrize("seed", [0, 4])
 def test_distributed_on_random(spark, algorithm, seed):
     g = random_temporal_graph(seed, n_u=6, n_v=8, n_t=5, density=0.45)
@@ -28,6 +28,22 @@ def test_distributed_on_random(spark, algorithm, seed):
     expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
     got = enumerate_mfg_distributed(edges, 2, 2, 2, algorithm=algorithm)
     assert got == expected
+
+
+def test_distributed_invariant_under_shuffle_partitions(spark):
+    g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
+    edges = edges_from_pandas(spark, g.to_pandas())
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    got = {}
+    try:
+        for n in (1, 7):
+            spark.conf.set(key, str(n))
+            got[n] = enumerate_mfg_distributed(edges, 2, 2, 2)
+    finally:
+        spark.conf.set(key, saved)
+    assert got[1] == got[7] == vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
+    assert got[1]
 
 
 def test_distributed_on_dataset(spark):
@@ -62,19 +78,32 @@ def test_distributed_empty_result(spark):
 
 def test_distributed_rejects_unknown_kernel(spark):
     edges = edges_from_pandas(spark, figure2_edges())
-    with pytest.raises(ValueError):
-        enumerate_mfg_distributed(edges, 2, 2, 3, algorithm="bk-alg+")
+    for algorithm in ("bk-alg+", "filterv"):
+        with pytest.raises(ValueError, match="vfree"):
+            enumerate_mfg_distributed(edges, 2, 2, 3, algorithm=algorithm)
+
+
+def _raises_before_any_job(spark, group, edges, params, match):
+    """``ValueError`` matching ``match``, with no Spark job in ``group``."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, "input validation")
+    try:
+        with pytest.raises(ValueError, match=match):
+            enumerate_mfg_distributed(edges, *params)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup(group) == []
 
 
 @pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1)])
 def test_distributed_validates_params_before_spark(spark, params):
     edges = edges_from_pandas(spark, figure2_edges())
-    sc = spark.sparkContext
-    group = f"validate-{params}"
-    sc.setJobGroup(group, "parameter validation")
-    try:
-        with pytest.raises(ValueError, match="positive"):
-            enumerate_mfg_distributed(edges, *params)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    assert sc.statusTracker().getJobIdsForGroup(group) == []
+    _raises_before_any_job(spark, f"validate-{params}", edges, params, "positive")
+
+
+@pytest.mark.parametrize("column", ["u", "v", "t"])
+def test_distributed_validates_edges_before_spark(spark, column):
+    edges = edges_from_pandas(spark, figure2_edges()).drop(column)
+    _raises_before_any_job(
+        spark, f"validate-no-{column}", edges, (2, 2, 3), f"missing.*{column}"
+    )

@@ -1,11 +1,10 @@
-"""FilterV-specific behavior: ablation toggles, X_V maximality, rooted mode,
-instrumentation."""
+"""FilterV-specific behavior: ablation toggles, instrumentation."""
 from __future__ import annotations
 
 import pytest
 
 from repro.core.filterv import filterv
-from tests.conftest import FIG2_MFGS, random_temporal_graph
+from tests.conftest import FIG2_MFGS
 
 
 @pytest.mark.parametrize(
@@ -20,35 +19,10 @@ def test_toggles_do_not_change_results(fig2, fr, vm):
     )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_rooted_partition(seed):
-    """Rooted FilterV branches partition the full result set."""
-    g = random_temporal_graph(seed)
-    full = filterv(g, 2, 2, 2)
-    merged = {}
-    for r in sorted(g.n_v):
-        part = filterv(g, 2, 2, 2, roots=[r])
-        for vs, supp in part.items():
-            assert vs not in merged
-            merged[vs] = supp
-    assert merged == full
-
-
-def test_rooted_min_member(fig2):
-    for r in sorted(fig2.n_v):
-        for vs in filterv(fig2, 2, 2, 3, roots=[r]):
-            assert min(vs) == r
-
-
 def test_cm_timer_populated(fig2):
     timers = {}
     filterv(fig2, 2, 2, 3, timers=timers)
     assert timers["cm"] > 0
-
-
-def test_multi_root_call(fig2):
-    got = filterv(fig2, 2, 2, 3, roots=sorted(fig2.n_v))
-    assert got == FIG2_MFGS
 
 
 def test_empty_graph():

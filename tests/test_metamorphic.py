@@ -4,7 +4,9 @@ Relabelling u/v ids by a non-order-preserving map, shifting every
 timestamp, and duplicating edges must not change the result beyond the
 relabelling or shift itself. Non-monotone relabels change both the dense
 codes and VFree's degree-order tie-breaks, so these also exercise every
-code path that depends on id order.
+code path that depends on id order. Raising λ by one can only shrink the
+groups: a group frequent at λ+1 is frequent at λ, so it lies inside some
+MFG at λ.
 """
 from __future__ import annotations
 
@@ -78,3 +80,16 @@ def test_invariant_under_duplicate_edges(seed, params):
     expected = _oracle(raw, *params)
     for got in _enumerations(rows, *params):
         assert got == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("params", PARAMS)
+def test_lambda_monotone(seed, params):
+    tau_u, tau_v, lam = params
+    raw = random_triples(seed, n_u=6, n_v=7, n_t=5, density=0.45)
+    index = TemporalBipartiteIndex(raw)
+    loose, tight = (vfree(index, tau_u, tau_v, l) for l in (lam, lam + 1))
+    assert loose == _oracle(raw, tau_u, tau_v, lam)
+    assert tight == _oracle(raw, tau_u, tau_v, lam + 1)
+    for vs in tight:
+        assert any(vs <= big for big in loose), sorted(vs)

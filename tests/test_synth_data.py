@@ -1,22 +1,7 @@
-"""Generator tests: provided TPC-H-lite generators and the temporal
-bipartite extensions."""
+"""Generator tests: the Figure-2 graph, noise and planted groups."""
 from __future__ import annotations
 
-import pytest
-
 from repro import synth_data
-
-
-class TestProvidedGenerators:
-    def test_lineitem(self, spark):
-        df = synth_data.lineitem(spark, sf=0.001)
-        assert df.count() > 0
-        assert "l_orderkey" in df.columns
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=2000, n_keys=100).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top > 2000 / 100  # far above uniform share
 
 
 class TestFigure2:

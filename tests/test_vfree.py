@@ -1,6 +1,7 @@
 """VFree-specific behavior: rooted partitioning, order handling, timers."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.gfcore import gfcore_local
@@ -19,15 +20,23 @@ class TestRootedPartition:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_union_of_roots_equals_full(self, seed):
+        """Roots dealt round-robin in rank order into k batches, as the
+        distributed fan-out deals them; k = |V| is one root per call."""
         g = random_temporal_graph(seed)
-        full = vfree(g, 2, 2, 2, reorder_ids=False)
-        merged = {}
-        for r in sorted(g.n_v):
-            part = vfree(g, 2, 2, 2, reorder_ids=False, roots=[r])
-            for vs, supp in part.items():
-                assert vs not in merged, "duplicate MFG across roots"
-                merged[vs] = supp
-        assert merged == full
+        ranks = {True: g.degree_rank(), False: np.arange(len(g.v_ids))}
+        for reorder, rank in ranks.items():
+            full = vfree(g, 2, 2, 2, reorder_ids=reorder)
+            by_rank = g.v_ids[np.argsort(rank)].tolist()
+            for k in sorted({1, 2, 3, len(by_rank)}):
+                merged = {}
+                for i in range(k):
+                    part = vfree(
+                        g, 2, 2, 2, reorder_ids=reorder, roots=by_rank[i::k]
+                    )
+                    for vs, supp in part.items():
+                        assert vs not in merged, "duplicate MFG across batches"
+                        merged[vs] = supp
+                assert merged == full, (reorder, k)
 
     def test_root_branch_contains_min_member(self, fig2):
         for r in sorted(fig2.n_v):
