@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""spark-submit entrypoint for the Exp-1 response-time comparison.
+"""The Exp-1 response-time comparison, run on the driver.
 
-Usage: spark-submit jobs/exp1.py [--sf 1.0] [--datasets D1 D2 D5 D9 D14 D15]
+Usage: python jobs/exp1.py [--sf 1.0] [--datasets D1 D2 D5 D9 D14 D15]
+No Spark session is started.
 """
 import argparse
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""spark-submit entrypoint reproducing paper Table 1 (FilterV/VFree CM cost).
+"""Reproduce paper Table 1 (FilterV/VFree CM cost) on the driver.
 
-Usage: spark-submit jobs/table1.py [--sf 1.0] [--dataset D14]
-(The measurement itself is driver-side kernel instrumentation; Spark is
-only initialized for consistency with the other jobs.)
+Usage: python jobs/table1.py [--sf 1.0] [--dataset D14]
+The measurement is driver-side kernel instrumentation; no Spark session is
+started.
 """
 import argparse
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""spark-submit entrypoint reproducing paper Table 3 (D1 case study).
+"""Reproduce paper Table 3 (D1 case study) on the driver.
 
-Usage: spark-submit jobs/table3.py [--seed 42]
+Usage: python jobs/table3.py [--seed 42]
+No Spark session is started.
 """
 import argparse
 

@@ -110,20 +110,9 @@ def check_fre(
     n_t = len(index.timestamps)
     if not vs or n_t == 0:
         return False
-    size = len(vs)
-    if size == 1:
-        # Degenerate single-member set: UA[t] = δ(v, t).
-        v = vs[0]
-        lam_seen = 0
-        for usets in index.gamma_v.get(v, {}).values():
-            if len(usets) >= tau_u:
-                lam_seen += 1
-                if lam_seen >= lam:
-                    return True
-        return False
     keys = np.concatenate([index.v_edge_keys(v) for v in vs])
     uniq, cnt = np.unique(keys, return_counts=True)
-    full = uniq[cnt == size]  # (u, t) keys where RA[t] reached |V_S|
+    full = uniq[cnt == len(vs)]  # (u, t) keys where RA[t] reached |V_S|
     if full.shape[0] < tau_u * lam:
         return False
     ua = np.bincount(full % n_t, minlength=n_t)  # Update Array

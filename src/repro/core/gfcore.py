@@ -18,14 +18,16 @@ Two implementations:
 - :func:`gfcore_local` — in-memory synchronous peel over the adjacency
   index (used inside search kernels and for small graphs);
 - :func:`gfcore_spark` — the same peel as an iterative Spark dataflow
-  (groupBy m-degrees → anti-join violators → repeat until the edge count is
-  stable), for graphs that start out large.
+  (one pass per round: window m-degree and snapshot counts → filter the
+  violators → repeat until the edge count is stable), for graphs that start
+  out large.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.window import Window
 
 from repro.graph.index import TemporalBipartiteIndex
 
@@ -66,14 +68,17 @@ def gfcore_spark(
 ) -> DataFrame:
     """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
 
-    Each round removes (vertex, timestamp) pairs violating the m-degree
-    constraints and whole V-vertices violating the frequency constraint,
-    then repeats until the edge count is stable (the peel fixpoint).
-    ``localCheckpoint`` truncates the lineage each round so the plan does
-    not grow with the iteration count. Raises ``RuntimeError`` when
-    ``max_iter`` rounds end without a fixpoint.
+    Each round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
+    (``size(collect_set(t))``: Spark has no windowed ``COUNT(DISTINCT)``)
+    as window aggregates in one projection, and drops every violating edge
+    at once, as :func:`gfcore_local` does; rounds repeat until the edge
+    count is stable (the peel fixpoint). Each round's frame is a lazy
+    ``localCheckpoint`` that the round's ``count()`` materializes, so a
+    round is one Spark job and the plan does not grow with the iteration
+    count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
+    fixpoint.
     """
-    e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=True)
+    e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev, rounds = e.count(), None, 0
     while n not in (0, n_prev):
         if rounds == max_iter:
@@ -82,30 +87,21 @@ def gfcore_spark(
                 f"the last two edge counts were {n_prev} and {n}"
             )
         rounds += 1
-        bad_ut = (
-            e.groupBy("u", "t")
-            .agg(F.count("*").alias("d"))
-            .filter(F.col("d") < int(tau_v))
-            .select("u", "t")
-        )
-        bad_vt = (
-            e.groupBy("v", "t")
-            .agg(F.count("*").alias("d"))
-            .filter(F.col("d") < int(tau_u))
-            .select("v", "t")
-        )
-        bad_v = (
-            e.select("v", "t")
-            .distinct()
-            .groupBy("v")
-            .agg(F.count("*").alias("s"))
-            .filter(F.col("s") < int(lam))
-            .select("v")
-        )
         e = (
-            e.join(bad_ut, ["u", "t"], "left_anti")
-            .join(bad_vt, ["v", "t"], "left_anti")
-            .join(bad_v, ["v"], "left_anti")
-        ).localCheckpoint(eager=True)
+            e.select(
+                "u", "v", "t",
+                F.count("*").over(Window.partitionBy("u", "t")).alias("d_ut"),
+                F.count("*").over(Window.partitionBy("v", "t")).alias("d_vt"),
+                F.size(F.collect_set("t").over(Window.partitionBy("v")))
+                .alias("s_v"),
+            )
+            .where(
+                (F.col("d_ut") >= int(tau_v))
+                & (F.col("d_vt") >= int(tau_u))
+                & (F.col("s_v") >= int(lam))
+            )
+            .select("u", "v", "t")
+            .localCheckpoint(eager=False)
+        )
         n_prev, n = n, e.count()
     return e

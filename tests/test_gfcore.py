@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.gfcore import gfcore_local, gfcore_spark
+from repro.core.runner import run_mfg
 from repro.core.vfree import vfree
+from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
 from repro.synth_data import figure2_edges
@@ -38,6 +40,20 @@ def dict_peel(triples, tau_u, tau_v, lam):
 CASCADE = [
     (1, 10, 0), (1, 20, 0), (2, 10, 0), (2, 20, 0), (3, 20, 0), (3, 30, 0),
 ]
+
+#: At (τ_U, τ_V) = (2, 2) every (u, t) and (v, t) m-degree is at least 2;
+#: v=30 has edges in 2 snapshots, v=10 and v=20 in 3, so at λ = 3 only the
+#: frequency rule removes anything: all of v=30.
+FREQ_ONLY = [
+    (u, v, t) for u in (1, 2) for v in (10, 20) for t in (0, 1, 2)
+] + [(u, 30, t) for u in (1, 2) for t in (0, 1)]
+
+
+def spark_core(edges, tau_u, tau_v, lam):
+    """``gfcore_spark`` as sorted triples; the frame has only u, v, t."""
+    core = gfcore_spark(edges, tau_u, tau_v, lam)
+    assert core.columns == ["u", "v", "t"]
+    return sorted(map(tuple, core.toPandas().values.tolist()))
 
 
 class TestLocalPeel:
@@ -102,33 +118,48 @@ class TestLocalPeel:
 class TestSparkPeel:
     @pytest.mark.parametrize("params", [(2, 2, 3), (1, 1, 1), (3, 3, 2)])
     def test_spark_equals_local_on_figure2(self, spark, fig2, params):
-        tau_u, tau_v, lam = params
         edges = edges_from_pandas(spark, figure2_edges())
-        got = sorted(
-            map(
-                tuple,
-                gfcore_spark(edges, tau_u, tau_v, lam)
-                .toPandas()[["u", "v", "t"]]
-                .itertuples(index=False),
-            )
-        )
-        expected = sorted(gfcore_local(fig2, tau_u, tau_v, lam).edges_iter())
-        assert got == expected
+        expected = sorted(gfcore_local(fig2, *params).edges_iter())
+        assert spark_core(edges, *params) == expected
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_spark_equals_local_on_random(self, spark, seed):
         g = random_temporal_graph(seed, n_u=8, n_v=8, n_t=6, density=0.5)
         edges = edges_from_pandas(spark, g.to_pandas())
-        got = sorted(
-            map(
-                tuple,
-                gfcore_spark(edges, 2, 2, 2)
-                .toPandas()[["u", "v", "t"]]
-                .itertuples(index=False),
-            )
-        )
         expected = sorted(gfcore_local(g, 2, 2, 2).edges_iter())
-        assert got == expected
+        assert spark_core(edges, 2, 2, 2) == expected
+
+    @pytest.mark.parametrize("name", ["D2", "D14"])
+    def test_spark_equals_local_on_analogue(self, spark, name):
+        pdf = datasets.load(name, sf=0.1)
+        p = datasets.SPECS[name].params
+        expected = gfcore_local(
+            TemporalBipartiteIndex.from_pandas(pdf), p.tau_u, p.tau_v, p.lam
+        )
+        assert 0 < len(expected) < len(pdf)
+        got = spark_core(edges_from_pandas(spark, pdf), p.tau_u, p.tau_v, p.lam)
+        assert got == sorted(expected.edges_iter())
+
+    def test_frequency_rule_alone_removes_v(self, spark):
+        edges = edges_from_pandas(
+            spark, TemporalBipartiteIndex(FREQ_ONLY).to_pandas()
+        )
+        assert spark_core(edges, 2, 2, 2) == sorted(FREQ_ONLY)
+        expected = sorted(e for e in FREQ_ONLY if e[1] != 30)
+        assert sorted(dict_peel(FREQ_ONLY, 2, 2, 3)) == expected
+        assert spark_core(edges, 2, 2, 3) == expected
+
+    def test_duplicate_rows_give_the_deduplicated_core(self, spark):
+        g = random_temporal_graph(0, n_u=8, n_v=8, n_t=6, density=0.5)
+        triples = sorted(g.edges_iter())
+        dup = spark.createDataFrame(
+            triples + triples[::3], "u long, v long, t long"
+        )
+        assert dup.count() > dup.distinct().count() == len(triples)
+        dedup = edges_from_pandas(spark, g.to_pandas())
+        got = spark_core(dup, 2, 2, 2)
+        assert got == spark_core(dedup, 2, 2, 2)
+        assert got == sorted(gfcore_local(g, 2, 2, 2).edges_iter())
 
     def test_spark_fails_loudly_at_max_iter(self, spark):
         pdf = TemporalBipartiteIndex(CASCADE).to_pandas()
@@ -138,3 +169,14 @@ class TestSparkPeel:
         core = gfcore_spark(edges, 2, 2, 1, max_iter=3).toPandas()
         got = sorted(map(tuple, core[["u", "v", "t"]].values.tolist()))
         assert got == sorted(CASCADE[:4])
+
+
+@pytest.mark.parametrize("name", datasets.DATASET_NAMES)
+def test_lemma_3_1_on_every_analogue(name):
+    """Peeling first keeps every MFG vertex, on every dataset analogue."""
+    p = datasets.SPECS[name].params
+    idx = TemporalBipartiteIndex.from_pandas(datasets.load(name, sf=0.1))
+    filtered = run_mfg(idx, p, "vfree").groups
+    assert filtered and filtered == run_mfg(idx, p, "vfree-").groups
+    core_v = set(gfcore_local(idx, p.tau_u, p.tau_v, p.lam).n_v)
+    assert all(vs <= core_v for vs in filtered)
