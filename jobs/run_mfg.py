@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""spark-submit entrypoint: enumerate all MFGs of a dataset analogue.
+"""Enumerate all MFGs of a dataset analogue.
 
 Usage:
-    spark-submit jobs/run_mfg.py --dataset D2 --sf 0.3 [--algorithm vfree]
-                                 [--distributed]
+    python jobs/run_mfg.py --dataset D2 --sf 0.3 [--algorithm vfree]
+    spark-submit jobs/run_mfg.py --dataset D2 --sf 0.3 --distributed
 
 Prints one line per MFG: the member vertex ids and the support timestamps.
+Only ``--distributed`` starts a Spark session; the driver kernels run
+without one.
 """
 import argparse
 
@@ -32,22 +34,25 @@ def main() -> None:
     args = ap.parse_args()
     if args.distributed and args.algorithm != "vfree":
         ap.error(f"--distributed runs vfree only, not {args.algorithm}")
-    spark = (
-        SparkSession.builder.appName("repro-run-mfg")
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
     spec = datasets.SPECS[args.dataset]
     pdf = datasets.load(args.dataset, sf=args.sf)
     p = spec.params
     if args.distributed:
-        groups = enumerate_mfg_distributed(
-            edges_from_pandas(spark, pdf),
-            p.tau_u,
-            p.tau_v,
-            p.lam,
-            algorithm=args.algorithm,
+        spark = (
+            SparkSession.builder.appName("repro-run-mfg")
+            .config("spark.ui.showConsoleProgress", "false")
+            .getOrCreate()
         )
+        try:
+            groups = enumerate_mfg_distributed(
+                edges_from_pandas(spark, pdf),
+                p.tau_u,
+                p.tau_v,
+                p.lam,
+                algorithm=args.algorithm,
+            )
+        finally:
+            spark.stop()
     else:
         groups = runner.run_mfg(
             TemporalBipartiteIndex.from_pandas(pdf), p, args.algorithm
@@ -56,7 +61,6 @@ def main() -> None:
           f"distributed={args.distributed}: {len(groups)} MFGs")
     for vs, supp in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
         print(f"V_S={sorted(vs)} supports={sorted(supp)}")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@
   verification toggles (variants FilterV-FR / FilterV-VM / FilterV-).
 - ``vfree`` — VFree (Algorithm 4), timestamp-oriented verification-free
   search.
+- ``params`` — the (τ_U, τ_V, λ) parameters and their validity check.
 - ``runner`` — unified entry point and instrumentation.
 - ``distributed`` — Spark fan-out of the search across root vertices.
 """

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set
 
 from repro.core.freq import is_frequent_naive, support_timestamps
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
 
@@ -27,6 +28,7 @@ def bk_alg(
     lam: int,
 ) -> Dict[FrozenSet[int], Set[int]]:
     """Enumerate all MFGs; returns ``{V_S: support timestamps}``."""
+    check_params(tau_u, tau_v, lam)
     results: List[FrozenSet[int]] = []
 
     def expand(us: Set[int], vs: FrozenSet[int], cand: List[int]) -> None:

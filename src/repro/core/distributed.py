@@ -22,7 +22,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.gfcore import gfcore_spark
-from repro.core.runner import Params
+from repro.core.params import check_params
 from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import validate_edges
@@ -41,12 +41,12 @@ def enumerate_mfg_distributed(
     ``algorithm`` must be ``"vfree"``, the one distributed kernel. Returns
     ``{V_S: support timestamps}`` with original ids. Raises ``ValueError``
     before any Spark job for another ``algorithm``, a non-positive
-    ``tau_u``, ``tau_v`` or ``lam`` (as :class:`repro.core.runner.Params`
-    does), or a frame without ``u``, ``v`` and ``t`` columns.
+    ``tau_u``, ``tau_v`` or ``lam`` (:func:`repro.core.params.check_params`),
+    or a frame without ``u``, ``v`` and ``t`` columns.
     """
     if algorithm != "vfree":
         raise ValueError(f"the distributed kernel is vfree, got {algorithm!r}")
-    Params(tau_u, tau_v, lam)
+    check_params(tau_u, tau_v, lam)
     edges = validate_edges(edges)
     work = gfcore_spark(edges, tau_u, tau_v, lam) if apply_graph_filter else edges
     core = TemporalBipartiteIndex.from_pandas(work.toPandas())

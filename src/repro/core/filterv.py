@@ -26,6 +26,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.freq import check_fre, is_frequent_naive, support_timestamps
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
 
@@ -39,6 +40,7 @@ def filterv(
     timers: Optional[Dict[str, float]] = None,
 ) -> Dict[FrozenSet[int], Set[int]]:
     """Enumerate all MFGs; returns ``{V_S: support timestamps}``."""
+    check_params(tau_u, tau_v, lam)
     if timers is None:
         timers = {}
     timers.setdefault("cm", 0.0)

@@ -29,6 +29,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
 
@@ -44,6 +45,7 @@ def gfcore_local(
     recursive ``CorePrune`` cascade, see module docstring). The core is
     :meth:`TemporalBipartiteIndex.subset` of the surviving edges.
     """
+    check_params(tau_u, tau_v, lam)
     n_u, n_v, n_t = len(index.u_ids), len(index.v_ids), len(index.t_ids)
     ut_key = index.u * n_t + index.t
     vt_key = index.v * n_t + index.t
@@ -76,8 +78,10 @@ def gfcore_spark(
     ``localCheckpoint`` that the round's ``count()`` materializes, so a
     round is one Spark job and the plan does not grow with the iteration
     count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
-    fixpoint.
+    fixpoint, and ``ValueError`` before any Spark job for a non-positive
+    parameter.
     """
+    check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev, rounds = e.count(), None, 0
     while n not in (0, n_prev):

@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, Set
 from repro.core.bk_alg import bk_alg
 from repro.core.filterv import filterv
 from repro.core.gfcore import gfcore_local
+from repro.core.params import Params
 from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 
@@ -29,19 +30,6 @@ ALGORITHMS = (
     "vfree-",       # Algorithm 4 without graph filter
     "vfree-noreorder",  # Exp-7 ablation: no ID reorder
 )
-
-
-@dataclass(frozen=True)
-class Params:
-    """The paper's three positive-integer parameters."""
-
-    tau_u: int
-    tau_v: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if min(self.tau_u, self.tau_v, self.lam) < 1:
-            raise ValueError(f"parameters must be positive, got {self}")
 
 
 @dataclass

@@ -42,10 +42,22 @@ when ``C_V* = ∅`` and ``notRepeat`` holds — Theorem 4.1. Per Theorem 4.2
 one valid-candidate-set computation costs ``O(d_max(u)·d_max(v)·|T|)``, an
 ``O(|V|)`` improvement over FilterV.
 
-Deviation from the pseudocode (documented in DESIGN.md): the report step
-(line 40) additionally requires ``|V_S'| ≥ τ_V`` and ``|C_T'| ≥ λ`` —
-without them, groups too small to be a (τ_U, τ_V)-biclique V-side (or, when
-``τ_V = 1``, infrequent singletons) would be emitted.
+Deviations from the pseudocode (documented in DESIGN.md):
+
+- the report step (line 40) additionally requires ``|V_S'| ≥ τ_V`` and
+  ``|C_T'| ≥ λ`` — without them, groups too small to be a (τ_U, τ_V)-biclique
+  V-side (or, when ``τ_V = 1``, infrequent singletons) would be emitted;
+- *covered-outsider prune*: a branch whose ``notRepeat`` is false does not
+  recurse when some frequent outsider ``v' ∉ V_S'`` of rank < v is adjacent
+  to all of ``cand_U'(t)`` at every ``t ∈ C_T'``. Every descendant only adds
+  ranks > v, so its ``C_T''`` and ``cand_U''(t)`` shrink and ``v'`` stays
+  frequent with it: ``notRepeat`` is false in the whole subtree, which can
+  report nothing. Because ``cnt_V[t][v'] ≤ |cand_U'(t)|`` and ``cnt_V`` is 0
+  outside ``C_T'``, "``v'`` covers" is the same as the column sum
+  ``Σ_t cnt_V[t][v']`` reaching ``|surv|``, the number of surviving
+  ``(t, u')`` pairs. The test runs only where the branch would otherwise
+  recurse. Maximal-biclique and closed-itemset enumeration prune the same
+  way (iMBEA; LCM's prefix-preserving closure test).
 """
 from __future__ import annotations
 
@@ -54,6 +66,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex, rank_by
 
 
@@ -77,11 +90,18 @@ def vfree(
     ``roots`` restricts the top level to branches rooted at the given
     vertices (the distributed fan-out runs one batch of roots per task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
-    counting-structure maintenance time (Table 1's "VFree-CM").
+    counting-structure maintenance time (Table 1's "VFree-CM"), including
+    the covered-outsider test; ``timers["evaluations"]`` counts the
+    candidate evaluations that reach steps 3+4 and ``timers["pruned"]`` the
+    branches that test skips. Raises ``ValueError`` for a non-positive
+    parameter.
     """
+    check_params(tau_u, tau_v, lam)
     if timers is None:
         timers = {}
     timers.setdefault("cm", 0.0)
+    timers.setdefault("evaluations", 0)
+    timers.setdefault("pruned", 0)
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
     if len(index) == 0:
         return {}
@@ -147,6 +167,17 @@ def vfree(
                 if freq_v.shape[0]:
                     not_repeat = bool(freq_v[0] >= v)
                     cv_star = freq_v[freq_v >= v].tolist()
+                # Covered-outsider prune: a frequent outsider v' of rank < v
+                # adjacent to all of cand_U' at every t ∈ C_T' keeps
+                # notRepeat false in the whole subtree. Its column sum of
+                # cnt_V is then |surv|, the most any column can reach.
+                if not not_repeat and cv_star and size + len(cv_star) >= tau_v:
+                    low = freq_v[: freq_v.shape[0] - len(cv_star)]
+                    cov = cnt_v.reshape(n_t, n_v).take(low, 1).sum(0)
+                    if cov.max() == surv.shape[0]:
+                        cv_star = []
+                        timers["pruned"] += 1
+                timers["evaluations"] += 1
             timers["cm"] += time.perf_counter() - t0
             if n_ct >= lam:
                 if size + len(cv_star) >= tau_v:

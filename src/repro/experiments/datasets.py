@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core.runner import Params
+from repro.core.params import Params
 from repro.synth_data import planted_mfg, temporal_bipartite_noise, _rng
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import pandas as pd
 
-from repro.core.runner import Params
+from repro.core.params import Params
 from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.models.mfb import mfb

@@ -1,4 +1,4 @@
-"""Command-line checks of ``jobs/run_mfg.py`` that fail before Spark starts."""
+"""Command-line checks of ``jobs/run_mfg.py`` that start no Spark session."""
 from __future__ import annotations
 
 import os
@@ -11,6 +11,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_mfg(*args: str) -> subprocess.CompletedProcess:
+    """Run ``jobs/run_mfg.py``; assert it started no Spark session (one
+    would log "Using Spark's default log4j profile" to stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "jobs" / "run_mfg.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Spark" not in proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -19,11 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_run_mfg_rejects_bad_arguments(args, message):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "jobs" / "run_mfg.py"), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_mfg(*args)
     assert proc.returncode == 2
     assert message in proc.stderr
-    assert "SparkContext" not in proc.stderr
+
+
+def test_run_mfg_driver_path_starts_no_spark():
+    proc = _run_mfg("--dataset", "D2", "--sf", "0.05")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# D2")

@@ -1,9 +1,11 @@
-"""VFree-specific behavior: rooted partitioning, order handling, timers."""
+"""VFree-specific behavior: rooted partitioning, order handling, timers,
+and the covered-outsider prune."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.gfcore import gfcore_local
 from repro.core.vfree import vfree
 from repro.experiments import datasets
@@ -95,6 +97,59 @@ class TestInstrumentation:
         res = vfree(fig2, 2, 1, 3)
         # every reported group is frequent and maximal; singletons allowed
         assert all(len(vs) >= 1 for vs in res)
-        from repro.core.bruteforce import enumerate_mfg_bruteforce
-
         assert res == enumerate_mfg_bruteforce(fig2, 2, 1, 3)
+
+    def test_work_counters(self, fig2):
+        timers = {}
+        vfree(fig2, 2, 2, 3, timers=timers)
+        assert timers["evaluations"] > 0
+        assert 0 <= timers["pruned"] < timers["evaluations"]
+
+
+def _twins() -> TemporalBipartiteIndex:
+    """v10 and v11 share every temporal edge (u0..u2 at t0..t2); v12 has
+    those plus u3. Ranks (degree and id order alike): v10 < v11 < v12."""
+    return TemporalBipartiteIndex(
+        [(u, v, t) for v in (10, 11) for u in range(3) for t in range(3)]
+        + [(u, 12, t) for u in range(4) for t in range(3)]
+    )
+
+
+class TestCoveredOutsiderPrune:
+    """A branch is skipped when a frequent outsider of lower rank is
+    adjacent to all of ``cand_U'`` at every survived timestamp."""
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_twin_branch_is_pruned(self, reorder):
+        """Branch v11 would recurse into {v11, v12}, but v10 covers it, so
+        nothing below it can be reported. The evaluations left are {v10},
+        {v10,v11}, {v10,v11,v12}, {v10,v12}, {v11} and {v12}."""
+        g, timers = _twins(), {}
+        got = vfree(g, 2, 2, 2, reorder_ids=reorder, timers=timers)
+        assert got == {frozenset({10, 11, 12}): {0, 1, 2}}
+        assert got == enumerate_mfg_bruteforce(g, 2, 2, 2)
+        assert (timers["pruned"], timers["evaluations"]) == (1, 6)
+
+    @pytest.mark.parametrize("params", [(2, 2, 2), (1, 2, 2), (2, 1, 2)])
+    @pytest.mark.parametrize("density", [0.5, 0.7])
+    def test_random_sweep_matches_bruteforce(self, density, params):
+        """Reorder on and off, and the union of round-robin root batches,
+        all equal brute force; the prune fires somewhere in the sweep."""
+        pruned = 0
+        for seed in range(40):
+            g = random_temporal_graph(seed, n_u=6, n_v=7, n_t=5, density=density)
+            expected = enumerate_mfg_bruteforce(g, *params)
+            for reorder in (True, False):
+                timers = {}
+                got = vfree(g, *params, reorder_ids=reorder, timers=timers)
+                assert got == expected, (seed, reorder)
+                pruned += timers["pruned"]
+                rank = g.degree_rank() if reorder else np.arange(len(g.v_ids))
+                by_rank = g.v_ids[np.argsort(rank)].tolist()
+                merged = {}
+                for i in range(3):
+                    merged.update(vfree(
+                        g, *params, reorder_ids=reorder, roots=by_rank[i::3]
+                    ))
+                assert merged == expected, (seed, reorder)
+        assert pruned > 0
