@@ -2,7 +2,8 @@
 
 One benchmark per (dataset, algorithm); BK-ALG+ only where it terminates
 quickly (the paper reports INF on the big graphs). The response-time matrix
-is written to ``results/exp1.txt``.
+is written to the session's temporary results directory
+(``jobs/exp1.py`` regenerates ``results/exp1.txt``).
 """
 from __future__ import annotations
 

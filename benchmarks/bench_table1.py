@@ -2,7 +2,8 @@
 
 Regenerates the paper's Table 1 rows (FilterV-CM %, FilterV-CM s,
 VFree-CM s) for the four parameter settings; the formatted paper-vs-measured
-table is written to ``results/table1.txt``.
+table is written to the session's temporary results directory
+(``jobs/table1.py`` regenerates ``results/table1.txt``).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def test_table1_run(benchmark, d14, params, algorithm):
 
 
 def test_table1_report(benchmark, results_dir):
-    """Write the paper-layout Table 1 (measured vs paper) to results/."""
+    """Format the paper-layout Table 1 (measured vs paper)."""
     text = benchmark.pedantic(
         lambda: format_table1(run_table1(sf=_SF)), rounds=1, iterations=1
     )

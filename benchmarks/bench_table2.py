@@ -1,7 +1,8 @@
 """Table 2 benchmark — dataset-statistics dataflow over all 15 analogues.
 
 The timed portion is the Spark statistics computation; the formatted
-measured-vs-paper table is written to ``results/table2.txt``.
+measured-vs-paper table is written to the session's temporary results
+directory (``jobs/table2.py`` regenerates ``results/table2.txt``).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def test_table2_stats_dataflow(benchmark, spark, name):
 
 
 def test_table2_report(benchmark, spark, results_dir):
-    """Write the full 15-dataset measured-vs-paper table to results/."""
+    """Format the full 15-dataset measured-vs-paper table."""
     text = benchmark.pedantic(
         lambda: format_table2(run_table2(spark, sf=_SF)), rounds=1, iterations=1
     )

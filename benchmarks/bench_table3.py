@@ -1,7 +1,9 @@
 """Table 3 benchmark — the D1 (MIMIC-III analogue) case study.
 
 Times the three models (MFG via VFree, MSG, MFB) on the case-study graph
-and writes the paper-layout partial-results table to ``results/table3.txt``.
+and writes the paper-layout partial-results table to the session's
+temporary results directory (``jobs/table3.py`` regenerates
+``results/table3.txt``).
 """
 from __future__ import annotations
 

@@ -1,18 +1,20 @@
 """Benchmark fixtures: dataset indexes are generated once per session and a
-results directory collects the formatted paper-style tables."""
+temporary results directory collects the formatted paper-style tables.
+
+The committed ``results/`` tables are regenerated only by the ``jobs/``
+scripts (``python jobs/<table>.py > results/<table>.txt``), so running
+this suite leaves the tree unchanged.
+"""
 from __future__ import annotations
 
 from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("results")
 
 
 @pytest.fixture(scope="session")

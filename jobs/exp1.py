@@ -2,9 +2,11 @@
 """The Exp-1 response-time comparison, run on the driver.
 
 Usage: python jobs/exp1.py [--sf 1.0] [--datasets D1 D2 D5 D9 D14 D15]
-No Spark session is started.
+No Spark session is started. Exits non-zero, after printing the table, when
+the algorithms' groups differ on a dataset.
 """
 import argparse
+import sys
 
 from repro.experiments.exp1 import format_exp1, run_exp1
 
@@ -16,7 +18,11 @@ def main() -> None:
         "--datasets", nargs="+", default=["D1", "D2", "D5", "D9", "D14", "D15"]
     )
     args = ap.parse_args()
-    print(format_exp1(run_exp1(names=tuple(args.datasets), sf=args.sf)))
+    rows = run_exp1(names=tuple(args.datasets), sf=args.sf)
+    print(format_exp1(rows))
+    bad = [r.dataset for r in rows if not r.agree]
+    if bad:
+        sys.exit(f"exp1: the algorithms' groups differ on {', '.join(bad)}")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 
 Usage: python jobs/table1.py [--sf 1.0] [--dataset D14]
 The measurement is driver-side kernel instrumentation; no Spark session is
-started.
+started. Exits non-zero, after printing the table, when FilterV's and
+VFree's groups differ in a (tau_U, tau_V, lambda) column.
 """
 import argparse
+import sys
 
 from repro.experiments.table1 import format_table1, run_table1
 
@@ -15,7 +17,14 @@ def main() -> None:
     ap.add_argument("--sf", type=float, default=1.0)
     ap.add_argument("--dataset", default="D14")
     args = ap.parse_args()
-    print(format_table1(run_table1(sf=args.sf, dataset=args.dataset)))
+    rows = run_table1(sf=args.sf, dataset=args.dataset)
+    print(format_table1(rows))
+    bad = [str(r.params) for r in rows if not r.agree]
+    if bad:
+        sys.exit(
+            "table1: FilterV's and VFree's groups differ at "
+            f"(tau_U, tau_V, lambda) = {', '.join(bad)}"
+        )
 
 
 if __name__ == "__main__":

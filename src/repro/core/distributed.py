@@ -1,4 +1,4 @@
-"""Distributed MFG enumeration: a Spark peel, then VFree over root batches.
+"""Distributed MFG enumeration: a Spark peel, then VFree over rank shares.
 
 Pipeline (DESIGN.md §2 "Layering note"):
 
@@ -6,19 +6,19 @@ Pipeline (DESIGN.md §2 "Layering note"):
 2. The core is collected once into a :class:`TemporalBipartiteIndex` on
    the driver and broadcast to the executors. This assumes the core fits in
    driver memory (DESIGN.md says why it does).
-3. The core's V vertices, in VFree's degree order (``degree_rank``), are
-   dealt round-robin into ``min(defaultParallelism, |V|)`` batches; one task
-   runs ``vfree(core, ..., roots=batch)`` per batch. VFree's ``notRepeat``
-   rule makes top-level branches independent and duplicate-free: the MFG
-   whose minimum rank is ``r`` is emitted exactly once, by branch ``r``.
-   Every task ranks the same broadcast core, so the union of the batches'
-   results is the sequential result.
+3. ``n = min(defaultParallelism, |V|)`` tasks each search one share of
+   VFree's processing order: task ``i`` runs
+   ``vfree(core, ..., roots=slice(i, None, n))``, the roots of rank ``i``,
+   ``i + n``, ... . VFree's ``notRepeat`` rule makes top-level branches
+   independent and duplicate-free: the MFG whose minimum rank is ``r`` is
+   emitted exactly once, by branch ``r``. Every task orders the same
+   broadcast core, so the union of the shares' results is the sequential
+   result. The driver does no ranking.
 """
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set
 
-import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.gfcore import gfcore_spark
@@ -53,22 +53,17 @@ def enumerate_mfg_distributed(
     if len(core) == 0:
         return {}
     sc = work.sparkSession.sparkContext
-    v_by_rank = core.v_ids[np.argsort(core.degree_rank())].tolist()
-    n = min(sc.defaultParallelism, len(v_by_rank))
+    n = min(sc.defaultParallelism, len(core.v_ids))
     b_core = sc.broadcast(core)
 
-    def run_batches(batches):
-        for roots in batches:
-            groups = vfree(b_core.value, tau_u, tau_v, lam, roots=roots)
+    def run_shares(shares):
+        for i in shares:
+            groups = vfree(b_core.value, tau_u, tau_v, lam, roots=slice(i, None, n))
             for vs, supp in groups.items():
                 yield tuple(vs), tuple(supp)
 
     try:
-        out = (
-            sc.parallelize([v_by_rank[i::n] for i in range(n)], n)
-            .mapPartitions(run_batches)
-            .collect()
-        )
+        out = sc.parallelize(range(n), n).mapPartitions(run_shares).collect()
     finally:
         b_core.destroy()
     return {frozenset(vs): set(supp) for vs, supp in out}

@@ -62,12 +62,12 @@ Deviations from the pseudocode (documented in DESIGN.md):
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.core.params import check_params
-from repro.graph.index import TemporalBipartiteIndex, rank_by
+from repro.graph.index import TemporalBipartiteIndex
 
 
 def vfree(
@@ -76,19 +76,18 @@ def vfree(
     tau_v: int,
     lam: int,
     reorder_ids: bool = True,
-    order: Optional[Mapping[int, int]] = None,
-    roots: Optional[Sequence[int]] = None,
+    roots: slice = slice(None),
     timers: Optional[Dict[str, float]] = None,
 ) -> Dict[FrozenSet[int], Set[int]]:
     """Enumerate all MFGs; returns ``{V_S: support timestamps}``.
 
-    ``order`` overrides the processing order with an explicit ``{v: rank}``
-    map (§4.2: any order gives the same result; it may hold vertices
-    outside ``index``); otherwise ``reorder_ids`` selects between degree
-    order (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default)
-    and plain id order (the "without ID reorder" ablation of Exp-7).
-    ``roots`` restricts the top level to branches rooted at the given
-    vertices (the distributed fan-out runs one batch of roots per task).
+    ``reorder_ids`` selects the processing order: degree order
+    (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default) or
+    plain id order (the "without ID reorder" ablation of Exp-7); §4.2: any
+    order gives the same result. ``roots`` is a slice of that order: the
+    top level searches only the branches rooted at those ranks. The default
+    ``slice(None)`` searches all of them; the shares ``slice(i, None, n)``,
+    ``i < n``, partition the full result (one per distributed task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM"), including
     the covered-outsider test; ``timers["evaluations"]`` counts the
@@ -107,12 +106,7 @@ def vfree(
         return {}
 
     # ---- processing order: rank[c] of V code c --------------------------
-    if order is not None:
-        rank = rank_by(np.array([order[v] for v in index.v_ids.tolist()]))
-    elif reorder_ids:
-        rank = index.degree_rank()
-    else:
-        rank = np.arange(n_v)
+    rank = index.degree_rank() if reorder_ids else np.arange(n_v)
     v_of_rank = index.v_ids[np.argsort(rank)]
     rv, t = rank[index.v], index.t
     tu = t * n_u + index.u
@@ -133,7 +127,7 @@ def vfree(
 
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def rec(vs: List[int], cand: List[int], ct: np.ndarray) -> None:
+    def rec(vs: List[int], cand: Sequence[int], ct: np.ndarray) -> None:
         """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space, C_T a mask."""
         size = len(vs) + 1
         for v in cand:
@@ -191,11 +185,5 @@ def vfree(
             in_vs[v] = False
             timers["cm"] += time.perf_counter() - t0
 
-    if roots is None:
-        top = list(range(n_v))
-    else:
-        r = np.asarray(roots, dtype=np.int64)
-        c = np.minimum(np.searchsorted(index.v_ids, r), n_v - 1)
-        top = sorted(rank[c[index.v_ids[c] == r]].tolist())
-    rec([], top, np.ones(n_t, dtype=bool))
+    rec([], range(n_v)[roots], np.ones(n_t, dtype=bool))
     return results

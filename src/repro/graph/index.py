@@ -20,13 +20,6 @@ import numpy as np
 import pandas as pd
 
 
-def rank_by(key: np.ndarray) -> np.ndarray:
-    """``rank[i]`` of entry ``i`` in ascending ``key`` order, ties by ``i``."""
-    rank = np.empty(key.shape[0], dtype=np.int64)
-    rank[np.argsort(key, kind="stable")] = np.arange(key.shape[0])
-    return rank
-
-
 def _lazy_view(build):
     """A property derived from the edge codes on first access, then cached."""
     return property(lambda self: self._view(build), doc=build.__doc__)
@@ -202,7 +195,10 @@ class TemporalBipartiteIndex:
         """
         n_u = len(self.u_ids)
         static = np.unique(self.v * n_u + self.u)  # distinct (v, u) pairs
-        return rank_by(np.bincount(static // n_u, minlength=len(self.v_ids)))
+        degree = np.bincount(static // n_u, minlength=len(self.v_ids))
+        rank = np.empty(len(degree), dtype=np.int64)
+        rank[np.argsort(degree, kind="stable")] = np.arange(len(degree))
+        return rank
 
     def v_edge_keys(self, v: int) -> np.ndarray:
         """All temporal edges of ``v`` flattened to ``u·|T| + t_pos`` keys.

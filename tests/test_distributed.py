@@ -46,6 +46,22 @@ def test_distributed_invariant_under_shuffle_partitions(spark):
     assert got[1]
 
 
+def test_distributed_one_root_per_task(spark):
+    """A core with no more V vertices than ``defaultParallelism`` gives one
+    task per root. v10 and v11 share no neighbor, so each is its own MFG;
+    v12 lives in one snapshot and the peel removes it."""
+    triples = [(u, 10, t) for u in (0, 1) for t in (0, 1)]
+    triples += [(u, 11, t) for u in (2, 3) for t in (0, 1)]
+    triples += [(u, 12, 0) for u in (0, 2)]
+    g = TemporalBipartiteIndex(triples)
+    core = gfcore_local(g, 2, 1, 2)
+    assert len(core.v_ids) == 2 <= spark.sparkContext.defaultParallelism
+    expected = vfree(core, 2, 1, 2)
+    assert expected == {frozenset({10}): {0, 1}, frozenset({11}): {0, 1}}
+    edges = edges_from_pandas(spark, g.to_pandas())
+    assert enumerate_mfg_distributed(edges, 2, 1, 2) == expected
+
+
 def test_distributed_on_dataset(spark):
     name = "D2"
     spec = datasets.SPECS[name]

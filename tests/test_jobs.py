@@ -1,12 +1,17 @@
-"""Command-line checks of ``jobs/run_mfg.py`` that start no Spark session."""
+"""Command-line checks of the driver-side ``jobs/`` scripts; none of them
+starts a Spark session."""
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.exp1 import EXP1_ALGORITHMS, Exp1Row
+from repro.experiments.table1 import Table1Row
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +45,47 @@ def test_run_mfg_driver_path_starts_no_spark():
     proc = _run_mfg("--dataset", "D2", "--sf", "0.05")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# D2")
+
+
+def _load_job(name: str):
+    """Import ``jobs/<name>.py`` as a module."""
+    path = ROOT / "jobs" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exp1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
+    job = _load_job("exp1")
+    row = Exp1Row("D2", dict.fromkeys(EXP1_ALGORITHMS, 0.0), 1, agree=False)
+    monkeypatch.setattr(job, "run_exp1", lambda **_: [row])
+    monkeypatch.setattr(sys, "argv", ["exp1.py"])
+    with pytest.raises(SystemExit) as exc:
+        job.main()
+    assert exc.value.code not in (0, None)
+    assert "D2" in str(exc.value.code)
+    assert capsys.readouterr().out.startswith("Dataset")
+
+
+def test_table1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
+    job = _load_job("table1")
+    row = Table1Row((9, 5, 8), 90.0, 1.0, 0.1, 1.1, 0.2, 1, agree=False)
+    monkeypatch.setattr(job, "run_table1", lambda **_: [row])
+    monkeypatch.setattr(sys, "argv", ["table1.py"])
+    with pytest.raises(SystemExit) as exc:
+        job.main()
+    assert exc.value.code not in (0, None)
+    assert "(9, 5, 8)" in str(exc.value.code)
+    assert "FilterV-CM" in capsys.readouterr().out
+
+
+def test_exp1_job_exits_zero_when_algorithms_agree():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "jobs" / "exp1.py"),
+         "--sf", "0.05", "--datasets", "D1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("D1")

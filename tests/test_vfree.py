@@ -2,7 +2,6 @@
 and the covered-outsider prune."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.bruteforce import enumerate_mfg_bruteforce
@@ -25,15 +24,13 @@ class TestRootedPartition:
         """Roots dealt round-robin in rank order into k batches, as the
         distributed fan-out deals them; k = |V| is one root per call."""
         g = random_temporal_graph(seed)
-        ranks = {True: g.degree_rank(), False: np.arange(len(g.v_ids))}
-        for reorder, rank in ranks.items():
+        for reorder in (True, False):
             full = vfree(g, 2, 2, 2, reorder_ids=reorder)
-            by_rank = g.v_ids[np.argsort(rank)].tolist()
-            for k in sorted({1, 2, 3, len(by_rank)}):
+            for k in sorted({1, 2, 3, len(g.v_ids)}):
                 merged = {}
                 for i in range(k):
                     part = vfree(
-                        g, 2, 2, 2, reorder_ids=reorder, roots=by_rank[i::k]
+                        g, 2, 2, 2, reorder_ids=reorder, roots=slice(i, None, k)
                     )
                     for vs, supp in part.items():
                         assert vs not in merged, "duplicate MFG across batches"
@@ -41,13 +38,14 @@ class TestRootedPartition:
                 assert merged == full, (reorder, k)
 
     def test_root_branch_contains_min_member(self, fig2):
-        for r in sorted(fig2.n_v):
-            part = vfree(fig2, 2, 2, 3, reorder_ids=False, roots=[r])
+        for i, r in enumerate(fig2.v_vertices):
+            part = vfree(fig2, 2, 2, 3, reorder_ids=False, roots=slice(i, i + 1))
             for vs in part:
                 assert min(vs) == r
 
-    def test_roots_with_unknown_vertex_ignored(self, fig2):
-        assert vfree(fig2, 2, 2, 3, reorder_ids=False, roots=[999]) == {}
+    def test_roots_past_the_last_rank_are_empty(self, fig2):
+        n = len(fig2.v_ids)
+        assert vfree(fig2, 2, 2, 3, roots=slice(n, None)) == {}
 
 
 class TestOrdering:
@@ -71,11 +69,19 @@ class TestOrdering:
         assert dict(zip(core.v_vertices, core.degree_rank().tolist())) == expected
 
     def test_explicit_order_any_permutation_is_correct(self, fig2):
-        """§4.2: correctness holds for *any* id assignment."""
-        vees = sorted(fig2.n_v)
+        """§4.2: correctness holds for *any* id assignment. Each cyclic
+        shift relabels V so that id order is the shifted order."""
+        vees = fig2.v_vertices
         for shift in range(len(vees)):
-            perm = {v: (i + shift) % len(vees) for i, v in enumerate(vees)}
-            assert vfree(fig2, 2, 2, 3, order=perm) == FIG2_MFGS
+            label = {v: (i + shift) % len(vees) for i, v in enumerate(vees)}
+            back = {new: v for v, new in label.items()}
+            g = TemporalBipartiteIndex(
+                (u, label[v], t) for u, v, t in fig2.edges_iter()
+            )
+            got = vfree(g, 2, 2, 3, reorder_ids=False)
+            assert {
+                frozenset(back[v] for v in vs): supp for vs, supp in got.items()
+            } == FIG2_MFGS
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reorder_does_not_change_results(self, seed):
@@ -144,12 +150,10 @@ class TestCoveredOutsiderPrune:
                 got = vfree(g, *params, reorder_ids=reorder, timers=timers)
                 assert got == expected, (seed, reorder)
                 pruned += timers["pruned"]
-                rank = g.degree_rank() if reorder else np.arange(len(g.v_ids))
-                by_rank = g.v_ids[np.argsort(rank)].tolist()
                 merged = {}
                 for i in range(3):
                     merged.update(vfree(
-                        g, *params, reorder_ids=reorder, roots=by_rank[i::3]
+                        g, *params, reorder_ids=reorder, roots=slice(i, None, 3)
                     ))
                 assert merged == expected, (seed, reorder)
         assert pruned > 0
