@@ -3,7 +3,7 @@
 
 Usage: python jobs/exp1.py [--sf 1.0] [--datasets D1 D2 D5 D9 D14 D15]
 No Spark session is started. Exits non-zero, after printing the table, when
-the algorithms' groups differ on a dataset.
+the algorithms' groups differ on a dataset or a dataset has no group.
 """
 import argparse
 import sys
@@ -23,6 +23,9 @@ def main() -> None:
     bad = [r.dataset for r in rows if not r.agree]
     if bad:
         sys.exit(f"exp1: the algorithms' groups differ on {', '.join(bad)}")
+    empty = [r.dataset for r in rows if not r.n_groups]
+    if empty:
+        sys.exit(f"exp1: no group found on {', '.join(empty)}")
 
 
 if __name__ == "__main__":

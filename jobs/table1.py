@@ -4,7 +4,8 @@
 Usage: python jobs/table1.py [--sf 1.0] [--dataset D14]
 The measurement is driver-side kernel instrumentation; no Spark session is
 started. Exits non-zero, after printing the table, when FilterV's and
-VFree's groups differ in a (tau_U, tau_V, lambda) column.
+VFree's groups differ in a (tau_U, tau_V, lambda) column or a column has no
+group.
 """
 import argparse
 import sys
@@ -24,6 +25,11 @@ def main() -> None:
         sys.exit(
             "table1: FilterV's and VFree's groups differ at "
             f"(tau_U, tau_V, lambda) = {', '.join(bad)}"
+        )
+    empty = [str(r.params) for r in rows if not r.n_groups]
+    if empty:
+        sys.exit(
+            f"table1: no group found at (tau_U, tau_V, lambda) = {', '.join(empty)}"
         )
 
 

@@ -19,8 +19,10 @@ def main() -> None:
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
-    print(format_table2(run_table2(spark, sf=args.sf)))
-    spark.stop()
+    try:
+        print(format_table2(run_table2(spark, sf=args.sf)))
+    finally:
+        spark.stop()
 
 
 if __name__ == "__main__":

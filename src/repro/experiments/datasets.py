@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.params import Params
-from repro.synth_data import planted_mfg, temporal_bipartite_noise, _rng
+from repro.synth_data import _rng, planted_temporal_bipartite
 
 
 @dataclass(frozen=True)
@@ -109,53 +109,49 @@ def planted_groups_v(spec: DatasetSpec, sf: float = 1.0) -> List[List[int]]:
 def generate(spec: DatasetSpec, sf: float = 1.0) -> pd.DataFrame:
     """Generate one dataset analogue as a pandas edge frame.
 
-    ``sf`` scales the noise volume (tests use sf≈0.05; benchmarks sf=1).
+    ``sf`` scales the noise volume (tests use sf≈0.05, ``jobs/`` sf=1).
     Planted structure is independent of ``sf`` so results stay checkable.
     """
     p = spec.params
     g = _rng(spec.seed)
-    n_u = max(30, int(spec.n_u * sf))
-    n_v = max(20, int(spec.n_v * sf))
-    n_e = max(300, int(spec.n_edges * sf))
-    parts = [
-        temporal_bipartite_noise(
-            n_u=n_u, n_v=n_v, n_edges=n_e, n_ts=spec.n_ts, seed=spec.seed,
-            zipf_alpha=1.25,
-        )
-    ]
-    next_u = n_u + 10
     # Planted MFGs: fresh U side per timestamp.
-    for members in planted_groups_v(spec, sf):
-        ts = _plant_timestamps(spec.n_ts, p.lam + 2, g)
-        part = planted_mfg(
+    groups = [
+        dict(
             members_v=members,
             group_u_size=p.tau_u + 2,
-            timestamps=ts,
-            u_id_start=next_u,
-            fresh_u_per_t=True,
+            timestamps=_plant_timestamps(spec.n_ts, p.lam + 2, g),
         )
-        next_u = int(part["u"].max()) + 1
-        parts.append(part)
+        for members in planted_groups_v(spec, sf)
+    ]
     # Community block: overlapping frequent groups → real search work. Each
     # round plants a random (τ_V+2)-subset of a shared vertex pool as a
     # frequent group; overlaps between rounds interlock the search branches
     # (every subset of a round's set is itself frequent, so the DFS tree is
     # non-trivial for every algorithm).
-    block_v = planted_groups_v(spec, sf)[-1][-1] + 1
+    block_v = groups[-1]["members_v"][-1] + 1
     block = np.arange(block_v, block_v + 3 * p.tau_v + 6)
-    for _round in range(10):
-        members = sorted(g.choice(block, size=p.tau_v + 2, replace=False).tolist())
-        ts = _plant_timestamps(spec.n_ts, p.lam + 2, g)
-        part = planted_mfg(
-            members_v=members,
+    groups += [
+        dict(
+            members_v=sorted(
+                g.choice(block, size=p.tau_v + 2, replace=False).tolist()
+            ),
             group_u_size=p.tau_u + 1,
-            timestamps=ts,
-            u_id_start=next_u,
+            timestamps=_plant_timestamps(spec.n_ts, p.lam + 2, g),
         )
-        next_u = int(part["u"].max()) + 1
-        parts.append(part)
-    # Hub community: a moderately dense random bipartite block active at
-    # *every* timestamp, with per-snapshot degrees above the core
+        for _round in range(10)
+    ]
+    pdf = planted_temporal_bipartite(
+        n_u=max(30, int(spec.n_u * sf)),
+        n_v=max(20, int(spec.n_v * sf)),
+        n_edges=max(300, int(spec.n_edges * sf)),
+        n_ts=spec.n_ts,
+        groups=groups,
+        seed=spec.seed,
+        zipf_alpha=1.25,
+    )
+    next_u = int(pdf["u"].max()) + 1
+    # Hub community: a moderately dense random bipartite block active in
+    # most timestamps, with per-snapshot degrees above the core
     # thresholds. It survives the (τ_V, τ_U, λ)-core (real graphs keep a
     # dense residue after pruning too) yet contains almost no frequent
     # group — the candidate sets it feeds the search are large and mostly
@@ -170,26 +166,31 @@ def generate(spec: DatasetSpec, sf: float = 1.0) -> pd.DataFrame:
     sv = max(4, int(6 * p.tau_v * sf))
     hub_u = np.arange(next_u, next_u + su)
     hub_v = np.arange(int(block[-1]) + 1, int(block[-1]) + 1 + sv)
-    # Per-snapshot degree tuned so that *pairs* of hub vertices are usually
-    # frequent (expected common neighbors ≈ τ_U+2) while triples mostly are
-    # not: the search descends one level into a wide, mostly-invalid
-    # candidate pool and the frequency-verification cost dominates.
     deg = min(su, max(p.tau_u + 1, round((su * (p.tau_u + margin)) ** 0.5)))
     # Each hub vertex is active only inside its own timestamp window
     # (bursty behavior); pairs from far-apart windows share < λ timestamps
     # and are exactly what the candidate-filtering rule (Lemma 3.2) prunes.
     width = min(spec.n_ts, max(3 * (p.lam + 2), (4 * spec.n_ts) // 5))
-    starts = {
-        int(v): int(g.integers(0, spec.n_ts - width + 1)) for v in hub_v
-    }
-    rows = []
-    for v in hub_v:
-        for t in range(starts[int(v)], starts[int(v)] + width):
-            picks = g.choice(hub_u, size=deg, replace=False)
-            rows.extend((int(u), int(v), t) for u in picks)
-    parts.append(pd.DataFrame(rows, columns=["u", "v", "t"], dtype="int64"))
-    pdf = pd.concat(parts, ignore_index=True).drop_duplicates(ignore_index=True)
-    return pdf.sort_values(["t", "u", "v"], ignore_index=True)
+    starts = [int(g.integers(0, spec.n_ts - width + 1)) for _v in hub_v]
+    # deg distinct hub u's per (v, t), v-major then t within v's window.
+    picks = [
+        g.choice(hub_u, size=deg, replace=False)
+        for _v in hub_v
+        for _t in range(width)
+    ]
+    hub = pd.DataFrame(
+        {
+            "u": np.concatenate(picks),
+            "v": np.repeat(hub_v, width * deg),
+            "t": np.repeat(np.add.outer(starts, np.arange(width)).ravel(), deg),
+        },
+        dtype="int64",
+    )
+    # Hub ids are fresh and each (v, t) picks distinct u, so the hub rows
+    # add no duplicate edge: appending them needs a sort, not a dedupe.
+    return pd.concat([pdf, hub], ignore_index=True).sort_values(
+        ["t", "u", "v"], ignore_index=True
+    )
 
 
 def load(name: str, sf: float = 1.0) -> pd.DataFrame:

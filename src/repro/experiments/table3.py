@@ -16,8 +16,9 @@ window — the MFG-shaped signal) plus single-window comorbidity clusters
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
+import numpy as np
 import pandas as pd
 
 from repro.core.params import Params
@@ -25,7 +26,7 @@ from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.models.mfb import mfb
 from repro.models.msg import msg
-from repro.synth_data import planted_mfg, temporal_bipartite_noise
+from repro.synth_data import planted_temporal_bipartite
 
 #: Default parameters of the paper's case study.
 CASE_PARAMS = Params(tau_u=2, tau_v=2, lam=6)
@@ -97,44 +98,34 @@ def condition_name(vid: int) -> str:
 def build_case_graph(seed: int = 42) -> pd.DataFrame:
     """The D1 case-study graph: noise + temporal MFG signal + static-only
     comorbidity clusters."""
-    parts = [
-        temporal_bipartite_noise(
-            n_u=_NOISE_U, n_v=_NOISE_V, n_edges=_NOISE_E, n_ts=_N_TS,
-            seed=seed, zipf_alpha=1.05,
-        )
-    ]
-    next_u = _NOISE_U + 10
     # Temporal signal: each paper MFG group is diagnosed for 3 fresh
     # patients at λ+2 distinct times (fresh patients ⇒ MFB can never
     # certify them; the conditions recur ⇒ MFG can).
-    for k, group in enumerate(PAPER_MFG_GROUPS):
-        members = [condition_id(n) for n in group]
-        ts = [(2 * k + 3 * i) % _N_TS for i in range(CASE_PARAMS.lam + 2)]
-        part = planted_mfg(
-            members_v=members,
+    groups = [
+        dict(
+            members_v=[condition_id(n) for n in group],
             group_u_size=3,
-            timestamps=sorted(set(ts)),
-            u_id_start=next_u,
-            fresh_u_per_t=True,
+            timestamps=sorted(
+                {(2 * k + 3 * i) % _N_TS for i in range(CASE_PARAMS.lam + 2)}
+            ),
         )
-        next_u = int(part["u"].max()) + 1
-        parts.append(part)
+        for k, group in enumerate(PAPER_MFG_GROUPS)
+    ]
     # Static-only signal: each MSG cluster is co-diagnosed for a handful of
     # patients in a single time bucket — visible to the static model,
     # invisible to any λ ≥ 2 frequency constraint.
-    for k, group in enumerate(PAPER_MSG_GROUPS):
-        members = [condition_id(n) for n in group]
-        part = planted_mfg(
-            members_v=members,
+    groups += [
+        dict(
+            members_v=[condition_id(n) for n in group],
             group_u_size=4,
             timestamps=[(7 * k + 5) % _N_TS],
-            u_id_start=next_u,
-            fresh_u_per_t=True,
         )
-        next_u = int(part["u"].max()) + 1
-        parts.append(part)
-    pdf = pd.concat(parts, ignore_index=True).drop_duplicates(ignore_index=True)
-    return pdf.sort_values(["t", "u", "v"], ignore_index=True)
+        for k, group in enumerate(PAPER_MSG_GROUPS)
+    ]
+    return planted_temporal_bipartite(
+        n_u=_NOISE_U, n_v=_NOISE_V, n_edges=_NOISE_E, n_ts=_N_TS,
+        groups=groups, seed=seed, zipf_alpha=1.05,
+    )
 
 
 @dataclass
@@ -170,10 +161,8 @@ def run_table3(seed: int = 42) -> Table3Result:
     # would only contribute groups that the named() filter drops anyway,
     # while costing exponential time (λ=1, τ=2 on a dense static hub
     # neighborhood has exponentially many frequent subsets).
-    named_ids = {condition_id(n) for n in CONDITIONS}
-    named_index = TemporalBipartiteIndex(
-        (u, v, t) for (u, v, t) in index.edges_iter() if v in named_ids
-    )
+    named_ids = [condition_id(n) for n in CONDITIONS]
+    named_index = index.subset(np.isin(index.v_ids[index.v], named_ids))
     msg_groups = named(msg(named_index, p.tau_u, p.tau_v))
     mfb_groups = named(vs for _us, vs in mfb(index, p.tau_u, p.tau_v, p.lam))
     return Table3Result(mfg=mfg_groups, msg=msg_groups, mfb=mfb_groups)

@@ -134,7 +134,8 @@ class TemporalBipartiteIndex:
 
     @_lazy_view
     def edge_ts(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """``(u, v) ->`` ascending timestamp positions ``T_(u,v)`` (Alg. 3)."""
+        """``(u, v) ->`` ascending timestamp positions ``T_(u,v)`` (MFB's
+        per-edge timestamp masks)."""
         pos: Dict[Tuple[int, int], List[int]] = {}
         us, vs, _ = self._id_columns()
         for u, v, t in zip(us, vs, self.t.tolist()):  # t ascends per (u, v)

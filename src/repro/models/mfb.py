@@ -8,7 +8,9 @@ usually too strict to return anything.
 
 Implementation: per-edge timestamp bitmasks. An edge of a frequent biclique
 must itself appear in ≥ λ snapshots, so static edges with ``|T_(u,v)| < λ``
-are peeled first (with the induced degree cascade). The search then runs an
+are dropped first, and the static skeleton they leave is peeled to its
+(τ_V, τ_U, 1)-core on a single snapshot (Definition 3.2, computed by
+:func:`repro.core.gfcore.gfcore_local`). The search then runs an
 ordered DFS over the V side (extend while ≥ τ_U U-candidates remain) and,
 per V_S, a second DFS over U-candidates whose shared-timestamp mask keeps
 ``popcount ≥ λ``; global pairwise containment filtering yields the maximal
@@ -19,21 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+from repro.core.gfcore import gfcore_local
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
 Pair = Tuple[FrozenSet[int], FrozenSet[int]]
-
-
-def _edge_masks(
-    index: TemporalBipartiteIndex, lam: int
-) -> Dict[Tuple[int, int], int]:
-    """Static-edge timestamp bitmasks, peeled to the (λ, τ-free) skeleton."""
-    masks = {
-        (u, v): int(sum(1 << int(p) for p in ts))
-        for (u, v), ts in index.edge_ts.items()
-        if len(ts) >= lam
-    }
-    return masks
 
 
 def mfb(
@@ -43,29 +35,22 @@ def mfb(
     lam: int,
     max_nodes: int = 200_000,
 ) -> List[Pair]:
-    """All maximal frequent (τ_U, τ_V)-bicliques as ``(U_S, V_S)`` pairs."""
-    masks = _edge_masks(index, lam)
-    # Degree peel on the surviving static skeleton.
-    while True:
-        n_u: Dict[int, Set[int]] = {}
-        n_v: Dict[int, Set[int]] = {}
-        for (u, v) in masks:
-            n_u.setdefault(u, set()).add(v)
-            n_v.setdefault(v, set()).add(u)
-        drop = {
-            (u, v)
-            for (u, v) in masks
-            if len(n_u[u]) < tau_v or len(n_v[v]) < tau_u
-        }
-        if not drop:
-            break
-        for e in drop:
-            del masks[e]
-    if not masks:
-        return []
-    adj_v: Dict[int, Set[int]] = {}
-    for (u, v) in masks:
-        adj_v.setdefault(v, set()).add(u)
+    """All maximal frequent (τ_U, τ_V)-bicliques as ``(U_S, V_S)`` pairs.
+
+    Raises ``ValueError`` unless ``τ_U``, ``τ_V`` and ``λ`` are all ≥ 1, as
+    :func:`gfcore_local` (the skeleton peel) does.
+    """
+    check_params(tau_u, tau_v, lam)
+    # Timestamp bitmasks of the static edges present in ≥ λ snapshots. A
+    # frequent biclique's u keeps ≥ τ_V and its v ≥ τ_U of these edges: it
+    # lies in their (τ_V, τ_U, 1)-core, taken as one snapshot.
+    masks = {
+        (u, v): int(sum(1 << int(p) for p in ts))
+        for (u, v), ts in index.edge_ts.items()
+        if len(ts) >= lam
+    }
+    skeleton = TemporalBipartiteIndex((u, v, 0) for u, v in masks)
+    adj_v: Dict[int, Set[int]] = gfcore_local(skeleton, tau_u, tau_v, 1).n_v
     vees = sorted(adj_v)
     pairs: List[Pair] = []
     budget = [max_nodes]

@@ -114,8 +114,11 @@ def planted_temporal_bipartite(
     seed: int = 0,
     zipf_alpha: float = 1.3,
 ) -> pd.DataFrame:
-    """Noise + planted groups. ``groups`` entries are kwargs for
-    :func:`planted_mfg` minus ``u_id_start`` (allocated above the noise ids).
+    """Noise + planted groups, deduplicated and sorted by ``(t, u, v)``.
+
+    ``groups`` entries are kwargs for :func:`planted_mfg` minus
+    ``u_id_start``: the planted U ids start at ``n_u + 10``, above the noise
+    ids, and each group takes the next free ids after the previous one.
     """
     parts = [
         temporal_bipartite_noise(
@@ -123,10 +126,8 @@ def planted_temporal_bipartite(
             zipf_alpha=zipf_alpha,
         )
     ]
-    next_u = n_u + 1
+    next_u = n_u + 10
     for grp in groups:
-        grp = dict(grp)
-        grp.setdefault("fresh_u_per_t", True)
         part = planted_mfg(u_id_start=next_u, **grp)
         next_u = int(part["u"].max()) + 1
         parts.append(part)

@@ -2,9 +2,11 @@
 the repository-root conftest.py)."""
 from __future__ import annotations
 
+import hashlib
 from typing import List, Tuple
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.graph.index import TemporalBipartiteIndex
@@ -53,3 +55,13 @@ def random_temporal_graph(
 ) -> TemporalBipartiteIndex:
     """Small random temporal bipartite graph, deterministic in ``seed``."""
     return TemporalBipartiteIndex(random_triples(seed, n_u, n_v, n_t, density))
+
+
+def frame_sha256(pdf: pd.DataFrame) -> str:
+    """SHA-256 of an edge frame's columns, dtypes and values (row order
+    included), to pin generated graphs byte for byte."""
+    h = hashlib.sha256()
+    h.update(",".join(pdf.columns).encode())
+    h.update(",".join(map(str, pdf.dtypes)).encode())
+    h.update(np.ascontiguousarray(pdf.to_numpy()).tobytes())
+    return h.hexdigest()

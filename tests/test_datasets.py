@@ -6,12 +6,41 @@ import pytest
 
 from repro.core.gfcore import gfcore_local
 from repro.core.runner import run_mfg
-from repro.core.vfree import vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
+from tests.conftest import frame_sha256
 
 ALL = list(datasets.DATASET_NAMES)
 SMALL = ["D1", "D2", "D3", "D5"]  # cheap enough to enumerate in tests
+
+#: ``frame_sha256`` of every analogue at sf=0.02: generation is pinned byte
+#: for byte, so a refactor of the generators cannot change a graph unseen.
+PINNED_SF002 = {
+    "D1": "76fa6d1f0426207c8b7136f5ab3a01b870ab84457d8cd04ce67e22453bbc9a6b",
+    "D2": "f09a514f7e228e0936c069ec3493b18af6d1c9fb85818c839a1adc5dc004948f",
+    "D3": "45c593ef1020d10a727288bb610cccf9601bb6f96a7f97b52741b7f2590ec152",
+    "D4": "5f36118ee101532acce182d895ecae6f451960416465a51a051d1856db16ac15",
+    "D5": "9bedd2999c7d246e362fde5cd9e31742c7b5ac70c1d126d216bf09334f4f1144",
+    "D6": "a7abc933eba02b7c5325b0a4ec8b0f8190fff4498b4d0a74713861bc694e1197",
+    "D7": "2f85ebed5fc7b9bd4e86206160aae6182d8b9f285f047b3b0d3d96830c903818",
+    "D8": "980b5e0d5a56b6ceb3f5bdfbb936f3a8546d6f48421c8a60ead904baf1610c28",
+    "D9": "025109904200a535b93ddbfafb80f5fe05dafcd3c0f6052d08fae7119e40d777",
+    "D10": "13817817d21a1165fbc58013535aae930b0ba7f958e85d0d061249019f5a82a9",
+    "D11": "8d1affa4ee3cc88a5ab4d6cdd160013f746fde7f8aa6c5c2a46e515d4d7e2012",
+    "D12": "7b38420c78a1d3f507eea686c706ba9e4d61d5109c006ea626d33b7431bc9085",
+    "D13": "669419d608c06d8e1d95e217abd9a5f5e6470c08d9a7dfbc20a63aa70ed93748",
+    "D14": "934d1ef07fa9fdbd71164e6afd8f2f4334a370f5ed9fb8690ff3031df3a5faf9",
+    "D15": "537f57e69f3cd1d772240556dbc4b1accf56111c54bad2ea7b0e27c27aec6823",
+}
+
+#: The same digest for the analogues that ``perfbench`` builds its
+#: workloads from; ``perfbench/digests.json`` holds only while these hold.
+PINNED_PERFBENCH = {
+    ("D15", 0.3): "748c90c8c0ebecfaa078520133503bb585e01d66dde6530b257b54be64f05b0c",
+    ("D11", 1.5): "cb87b029b87fa73030eca39f0149170e516a9075991aa994743f50dd487e3822",
+    ("D14", 0.2): "e3dd2b2c38f2244cc258d6f3449244f7c1b61d108b65d52b5892872f4e8164c6",
+    ("D14", 0.3): "0c65e694acb4d93a2d04f8681783f1bf22518a9c46dc73cbbf5189f7df68a745",
+}
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -31,6 +60,16 @@ class TestSpecs:
         assert set(pdf.columns) == {"u", "v", "t"}
         assert pdf["t"].nunique() <= datasets.SPECS[name].n_ts
         assert not pdf.duplicated().any()
+
+    def test_generation_pinned(self, name):
+        assert frame_sha256(datasets.load(name, sf=0.02)) == PINNED_SF002[name]
+
+
+@pytest.mark.parametrize(
+    "name, sf", list(PINNED_PERFBENCH), ids=lambda x: str(x)
+)
+def test_perfbench_inputs_pinned(name, sf):
+    assert frame_sha256(datasets.load(name, sf=sf)) == PINNED_PERFBENCH[name, sf]
 
 
 @pytest.mark.parametrize("name", SMALL)

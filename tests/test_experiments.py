@@ -14,12 +14,16 @@ from repro.experiments.table1 import (
 )
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import (
+    CASE_PARAMS,
     PAPER_MFG_GROUPS,
     PAPER_MSG_GROUPS,
     build_case_graph,
     format_table3,
     run_table3,
 )
+from repro.graph.index import TemporalBipartiteIndex
+from repro.models.mfb import mfb
+from tests.conftest import frame_sha256
 
 
 class TestTable1:
@@ -108,6 +112,10 @@ class TestTable3:
 
     def test_mfb_is_na(self, result):
         assert result.mfb == []
+        # Not only the named pairs: MFB finds no pair at all, noise included.
+        index = TemporalBipartiteIndex.from_pandas(build_case_graph())
+        p = CASE_PARAMS
+        assert mfb(index, p.tau_u, p.tau_v, p.lam) == []
 
     def test_format(self, result):
         text = format_table3(result)
@@ -115,6 +123,11 @@ class TestTable3:
 
     def test_case_graph_deterministic(self):
         assert build_case_graph(1).equals(build_case_graph(1))
+
+    def test_case_graph_pinned(self):
+        assert frame_sha256(build_case_graph(42)) == (
+            "bb9a460cd6ce62fba2bb2229a8c16377182f5e175712d06dbf5c4b41ceb3c602"
+        )
 
 
 class TestExp1:

@@ -80,6 +80,30 @@ def test_table1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
     assert "FilterV-CM" in capsys.readouterr().out
 
 
+def test_exp1_exits_nonzero_when_a_dataset_has_no_group(monkeypatch, capsys):
+    job = _load_job("exp1")
+    row = Exp1Row("D14", dict.fromkeys(EXP1_ALGORITHMS, 0.0), 0, agree=True)
+    monkeypatch.setattr(job, "run_exp1", lambda **_: [row])
+    monkeypatch.setattr(sys, "argv", ["exp1.py"])
+    with pytest.raises(SystemExit) as exc:
+        job.main()
+    assert exc.value.code not in (0, None)
+    assert "D14" in str(exc.value.code)
+    assert capsys.readouterr().out.startswith("Dataset")
+
+
+def test_table1_exits_nonzero_when_a_column_has_no_group(monkeypatch, capsys):
+    job = _load_job("table1")
+    row = Table1Row((10, 6, 10), 90.0, 1.0, 0.1, 1.1, 0.2, 0, agree=True)
+    monkeypatch.setattr(job, "run_table1", lambda **_: [row])
+    monkeypatch.setattr(sys, "argv", ["table1.py"])
+    with pytest.raises(SystemExit) as exc:
+        job.main()
+    assert exc.value.code not in (0, None)
+    assert "(10, 6, 10)" in str(exc.value.code)
+    assert "FilterV-CM" in capsys.readouterr().out
+
+
 def test_exp1_job_exits_zero_when_algorithms_agree():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

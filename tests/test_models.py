@@ -7,6 +7,61 @@ from repro.graph.index import TemporalBipartiteIndex
 from repro.models.mfb import mfb
 from repro.models.msg import msg
 from repro.synth_data import planted_mfg
+from tests.conftest import random_triples
+
+
+def mfb_bruteforce(triples, tau_u: int, tau_v: int, lam: int) -> set:
+    """Every maximal frequent (τ_U, τ_V)-biclique, by enumerating all
+    (U_S, V_S) pairs.
+
+    A pair is frequent when ``|U_S| ≥ τ_U``, ``|V_S| ≥ τ_V`` and every edge
+    of ``U_S × V_S`` is present together in at least λ snapshots. Frequency
+    is anti-monotone, so a frequent pair is maximal iff adding any single
+    vertex to either side leaves it infrequent.
+    """
+    us = sorted({u for u, _, _ in triples})
+    vs = sorted({v for _, v, _ in triples})
+    ts = sorted({t for _, _, t in triples})
+    # nbr[t][i]: bitmask over vs of u_i's neighbours at t.
+    nbr = {t: [0] * len(us) for t in ts}
+    for u, v, t in triples:
+        nbr[t][us.index(u)] |= 1 << vs.index(v)
+    full_v = (1 << len(vs)) - 1
+    frequent = set()
+    for um in range(1, 1 << len(us)):
+        if um.bit_count() < tau_u:
+            continue
+        common = []
+        for t in ts:
+            c = full_v
+            for i in range(len(us)):
+                if um >> i & 1:
+                    c &= nbr[t][i]
+            common.append(c)
+        for vm in range(1, full_v + 1):
+            if vm.bit_count() >= tau_v and sum(
+                vm & c == vm for c in common
+            ) >= lam:
+                frequent.add((um, vm))
+    maximal = {
+        (um, vm)
+        for um, vm in frequent
+        if all(
+            (um | 1 << i, vm) not in frequent
+            for i in range(len(us)) if not um >> i & 1
+        )
+        and all(
+            (um, vm | 1 << j) not in frequent
+            for j in range(len(vs)) if not vm >> j & 1
+        )
+    }
+    return {
+        (
+            frozenset(u for i, u in enumerate(us) if um >> i & 1),
+            frozenset(v for j, v in enumerate(vs) if vm >> j & 1),
+        )
+        for um, vm in maximal
+    }
 
 
 class TestMSG:
@@ -92,3 +147,26 @@ class TestMFB:
         idx = TemporalBipartiteIndex.from_pandas(pdf)
         assert mfb(idx, 3, 2, 3) == []  # needs 3 U vertices, only 2 exist
         assert mfb(idx, 2, 3, 3) == []  # needs 3 V vertices, only 2 exist
+
+    @pytest.mark.parametrize(
+        "tau_u, tau_v, lam", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3)]
+    )
+    def test_random_graphs_match_bruteforce(self, tau_u, tau_v, lam):
+        """Exhaustive (U_S, V_S) oracle on 120 small seeded graphs
+        (|U| ≤ 6, |V| ≤ 5, |T| ≤ 4): MFB finds every maximal pair, and
+        only those."""
+        non_empty = 0
+        for seed in range(120):
+            triples = random_triples(
+                seed, n_u=6, n_v=5, n_t=4, density=0.5 + 0.1 * (seed % 4)
+            )
+            got = mfb(TemporalBipartiteIndex(triples), tau_u, tau_v, lam)
+            assert len(got) == len(set(got)), seed
+            assert set(got) == mfb_bruteforce(triples, tau_u, tau_v, lam), seed
+            non_empty += bool(got)
+        assert non_empty >= 40
+
+    @pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_rejects_non_positive_parameter(self, fig2, params):
+        with pytest.raises(ValueError):
+            mfb(fig2, *params)
