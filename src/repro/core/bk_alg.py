@@ -51,6 +51,5 @@ def bk_alg(
         results[:] = [r for r in results if not r < vs]
         results.append(vs)
 
-    all_u: Set[int] = set(index.n_u)
-    expand(all_u, frozenset(), sorted(index.n_v))
+    expand(set(index.u_vertices), frozenset(), sorted(index.n_v))
     return {vs: support_timestamps(index, vs, tau_u) for vs in results}

@@ -53,10 +53,10 @@ def filterv(
     }
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def verify(us: Set[int], new_vs: FrozenSet[int]) -> bool:
-        """Frequency check for V_S ∪ {v} given its common s-neighbors."""
+    def verify(new_vs: FrozenSet[int]) -> bool:
+        """Frequency check for V_S ∪ {v}."""
         if use_array_verification:
-            return check_fre(index, us, new_vs, tau_u, lam)
+            return check_fre(index, new_vs, tau_u, lam)
         return is_frequent_naive(index, new_vs, tau_u, lam)
 
     def enum(
@@ -74,7 +74,7 @@ def filterv(
         star_us: Dict[int, Set[int]] = {}
         for v in cand:
             nus = us & index.s_neighbors_v(v)
-            if len(nus) >= tau_u and verify(nus, vs | {v}):
+            if len(nus) >= tau_u and verify(vs | {v}):
                 cv_star.append(v)
                 star_us[v] = nus
         timers["cm"] += time.perf_counter() - t0
@@ -91,7 +91,7 @@ def filterv(
                 if use_candidate_filter and len(tset & t_of[x]) < lam:
                     continue
                 nus = us & index.s_neighbors_v(x)
-                if len(nus) >= tau_u and verify(nus, vs | {x}):
+                if len(nus) >= tau_u and verify(vs | {x}):
                     maximal = False
                     break
             timers["cm"] += time.perf_counter() - t0
@@ -105,5 +105,5 @@ def filterv(
             enum(star_us[v], vs | {v}, list(rest), child_xv, tset & t_of[v])
             child_xv.append(v)
 
-    enum(set(index.n_u), frozenset(), all_v, [], all_t)
+    enum(set(index.u_vertices), frozenset(), all_v, [], all_t)
     return results

@@ -4,9 +4,8 @@ Two implementations, as in the paper:
 
 - the *naive* method (§3.1 "Discussion"): for every timestamp, intersect the
   m-neighbor sets of all members and compare against ``τ_U``;
-- *CheckFRE* (Algorithm 3): array-based counting over Reborn Array (RA) and
-  Update Array (UA), iterating only over the edges of the common static
-  neighbors ``U_S``, with early exit once ``λ`` support timestamps are found.
+- *CheckFRE* (Algorithm 3): Reborn Array (RA) and Update Array (UA)
+  counting, vectorized over the temporal edges of the members of ``V_S``.
 """
 from __future__ import annotations
 
@@ -82,29 +81,27 @@ def is_frequent_naive(
 
 
 def check_fre(
-    index: TemporalBipartiteIndex,
-    us: Iterable[int],
-    vs: Iterable[int],
-    tau_u: int,
-    lam: int,
+    index: TemporalBipartiteIndex, vs: Iterable[int], tau_u: int, lam: int
 ) -> bool:
     """CheckFRE (Algorithm 3) — array-based frequency verification.
 
-    Parameters mirror the paper: ``us`` is the common s-neighbor set of all
-    vertices in ``vs`` (so ``(us, vs)`` is a biclique of the static graph),
-    ``vs`` the checking vertex set. Returns True iff ``vs`` has at least
-    ``λ`` support timestamps.
+    Returns True iff the checking vertex set ``vs`` has at least ``λ``
+    support timestamps. The paper also passes ``U_S``, the common
+    s-neighbors of ``vs``, to bound the iteration domain; here that
+    restriction is implicit, so it is not a parameter.
 
     Semantics are exactly the paper's Reborn/Update Array counting: the RA
     slot of ``(u, t)`` reaching ``|V_S|`` means ``u`` is a common m-neighbor
     of ``V_S`` at ``t`` (one Update Array bump); a UA slot reaching ``τ_U``
     marks a support timestamp. The per-``u`` loops are vectorized across
-    *all* of ``U_S`` at once: every temporal edge of every ``v ∈ V_S`` is a
-    ``u·|T|+t`` key, and a key with multiplicity ``|V_S|`` is precisely an
-    RA slot at ``|V_S|`` (keys of ``u ∉ U_S`` can never reach it, so the
-    explicit U_S restriction is subsumed). The iteration domain — the edges
-    between ``U_S`` and ``V_S`` — matches the paper's, giving the
-    ``O(d_max(u)·d_max(v)·|T|)`` bound of Theorem 3.1.
+    all of ``U_S`` at once: every temporal edge of every ``v ∈ V_S`` is a
+    ``u·|T|+t`` key over the dense codes (``index.v_edge_keys``), and a key
+    with multiplicity ``|V_S|`` is precisely an RA slot at ``|V_S|``. Keys
+    of ``u ∉ U_S`` can never reach it, which is why ``U_S`` need not be
+    given. Each member
+    contributes at most ``d_max(v)·|T|`` keys, and ``|V_S| ≤ d_max(u)``
+    whenever ``U_S`` is non-empty: the ``O(d_max(u)·d_max(v)·|T|)`` bound
+    of Theorem 3.1.
     """
     vs = list(vs)
     n_t = len(index.timestamps)
@@ -117,18 +114,3 @@ def check_fre(
         return False
     ua = np.bincount(full % n_t, minlength=n_t)  # Update Array
     return int((ua >= tau_u).sum()) >= lam
-
-
-def common_s_neighbors(
-    index: TemporalBipartiteIndex, vs: Iterable[int]
-) -> Set[int]:
-    """``U_S = ⋂_{v∈V_S} N(v, G)`` — the BK state's U side."""
-    vs = list(vs)
-    if not vs:
-        return set(index.n_u)
-    out = set(index.s_neighbors_v(vs[0]))
-    for v in vs[1:]:
-        out &= index.s_neighbors_v(v)
-        if not out:
-            break
-    return out

@@ -3,16 +3,19 @@
 The graph is held once, as its distinct temporal edges over dense codes:
 sorted distinct ``u_ids``, ``v_ids`` and ``t_ids``, and per edge the int64
 codes ``u``, ``v`` and ``t`` into them (``t`` is the timestamp's position
-in ``T``), sorted by ``(v, t, u)``. The GFCore peel and VFree read these
-arrays directly. The set-based kernels (BK-ALG, FilterV, CheckFRE, the
-brute-force oracle, MFB/MSG) read dict views that are derived from the
-codes on first access and then cached.
+in ``T``), sorted by ``(v, t, u)``. The GFCore peel, VFree, MFB and MSG read
+these arrays directly; CheckFRE reads their per-vertex ``v_edge_keys``. The
+set-based kernels (BK-ALG, FilterV, the naive frequency check and the
+brute-force oracle) read the V-side dict views ``gamma_v`` and ``n_v``.
+Every view is derived from the codes on first access and then cached.
 
 U-ids and V-ids are separate namespaces, mirroring the paper's disjoint
 vertex sets U and V.
 """
 from __future__ import annotations
 
+import operator
+from functools import cached_property
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -20,9 +23,23 @@ import numpy as np
 import pandas as pd
 
 
-def _lazy_view(build):
-    """A property derived from the edge codes on first access, then cached."""
-    return property(lambda self: self._view(build), doc=build.__doc__)
+def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
+    """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
+
+    Raises ``ValueError`` for a missing or non-integer column, so that no
+    fractional id or timestamp is silently truncated.
+    """
+    missing = [c for c in "uvt" if c not in pdf.columns]
+    if missing:
+        raise ValueError(f"edge frame missing columns {missing}")
+    bad = {
+        c: str(pdf[c].dtype)
+        for c in "uvt"
+        if not pd.api.types.is_integer_dtype(pdf[c].dtype)
+    }
+    if bad:
+        raise ValueError(f"edge columns must be integer, got {bad}")
+    return [pdf[c].to_numpy(dtype=np.int64) for c in "uvt"]
 
 
 class TemporalBipartiteIndex:
@@ -31,13 +48,17 @@ class TemporalBipartiteIndex:
     ``u_ids`` / ``v_ids`` / ``t_ids`` are the sorted distinct ids of U, V
     and T; ``u`` / ``v`` / ``t`` the per-edge codes into them, sorted by
     ``(v, t, u)``. Both constructors deduplicate with one ``np.unique``
-    over a packed ``(v, t, u)`` key.
+    over a packed ``(v, t, u)`` key, and raise ``ValueError`` for a
+    non-integer id or timestamp.
     """
 
-    __slots__ = ("u_ids", "v_ids", "t_ids", "u", "v", "t", "_views")
-
     def __init__(self, edges: Iterable[Tuple[int, int, int]]):
-        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        try:
+            flat = np.fromiter(
+                map(operator.index, chain.from_iterable(edges)), dtype=np.int64
+            )
+        except TypeError as err:
+            raise ValueError(f"ids and timestamps must be integer: {err}") from None
         self._encode(flat[0::3], flat[1::3], flat[2::3])
 
     def _encode(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
@@ -51,13 +72,12 @@ class TemporalBipartiteIndex:
         key = np.unique((v * n_t + t) * n_u + u)
         vt, self.u = np.divmod(key, n_u)
         self.v, self.t = np.divmod(vt, n_t)
-        self._views: Dict[str, object] = {}
 
     @classmethod
     def from_pandas(cls, pdf: pd.DataFrame) -> "TemporalBipartiteIndex":
-        """Build from a pandas frame with ``u, v, t`` columns."""
+        """Build from a pandas frame with integer ``u, v, t`` columns."""
         index = cls.__new__(cls)
-        index._encode(*(pdf[c].to_numpy(dtype=np.int64) for c in "uvt"))
+        index._encode(*edge_columns(pdf))
         return index
 
     def subset(self, keep: np.ndarray) -> "TemporalBipartiteIndex":
@@ -73,74 +93,36 @@ class TemporalBipartiteIndex:
             present[codes] = True
             setattr(out, name + "_ids", ids[present])
             setattr(out, name, (np.cumsum(present) - 1)[codes])
-        out._views = {}
         return out
 
     # ------------------------------------------------------------------
-    # Views for the set-based kernels, built on first access
+    # Views, built on first access
     # ------------------------------------------------------------------
-    def _view(self, build):
-        if build.__name__ not in self._views:
-            self._views[build.__name__] = build(self)
-        return self._views[build.__name__]
-
-    def _id_columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """Edges as ``u``, ``v`` and ``t`` id lists, in ``(v, t, u)`` order."""
-        return (
-            self.u_ids[self.u].tolist(),
-            self.v_ids[self.v].tolist(),
-            self.t_ids[self.t].tolist(),
-        )
-
-    def _adjacency(self, side: int, by_t: bool) -> dict:
-        """Neighbor sets of every u (``side`` 0) or v (1), per t if ``by_t``."""
-        out: dict = {}
-        for row in zip(*self._id_columns()):
-            nbrs = out.setdefault(row[side], {} if by_t else set())
-            if by_t:
-                nbrs = nbrs.setdefault(row[2], set())
-            nbrs.add(row[1 - side])
-        return out
-
-    @_lazy_view
+    @cached_property
     def timestamps(self) -> Tuple[int, ...]:
         """``T``, sorted."""
         return tuple(self.t_ids.tolist())
 
-    @_lazy_view
-    def t_pos(self) -> Dict[int, int]:
-        """Timestamp -> dense position ``0..|T|-1``."""
-        return {t: i for i, t in enumerate(self.timestamps)}
-
-    @_lazy_view
+    @cached_property
     def gamma_v(self) -> Dict[int, Dict[int, Set[int]]]:
         """``gamma_v[v][t] = Γ(v,t) ⊆ U`` (m-neighbor sets)."""
-        return self._adjacency(1, by_t=True)
+        out: Dict[int, Dict[int, Set[int]]] = {}
+        for u, v, t in self.edges_iter():
+            out.setdefault(v, {}).setdefault(t, set()).add(u)
+        return out
 
-    @_lazy_view
-    def gamma_u(self) -> Dict[int, Dict[int, Set[int]]]:
-        """``gamma_u[u][t] = Γ(u,t) ⊆ V``."""
-        return self._adjacency(0, by_t=True)
-
-    @_lazy_view
+    @cached_property
     def n_v(self) -> Dict[int, Set[int]]:
         """``n_v[v] = N(v) ⊆ U`` (static s-neighbor sets)."""
-        return self._adjacency(1, by_t=False)
+        return {v: set().union(*per_t.values()) for v, per_t in self.gamma_v.items()}
 
-    @_lazy_view
-    def n_u(self) -> Dict[int, Set[int]]:
-        """``n_u[u] = N(u) ⊆ V``."""
-        return self._adjacency(0, by_t=False)
-
-    @_lazy_view
-    def edge_ts(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """``(u, v) ->`` ascending timestamp positions ``T_(u,v)`` (MFB's
-        per-edge timestamp masks)."""
-        pos: Dict[Tuple[int, int], List[int]] = {}
-        us, vs, _ = self._id_columns()
-        for u, v, t in zip(us, vs, self.t.tolist()):  # t ascends per (u, v)
-            pos.setdefault((u, v), []).append(t)
-        return {e: np.asarray(ts, dtype=np.int64) for e, ts in pos.items()}
+    @cached_property
+    def _v_edge_keys(self) -> Dict[int, np.ndarray]:
+        """Every vertex's sorted ``(u, t)`` keys (see :meth:`v_edge_keys`)."""
+        keys = self.u * len(self.t_ids) + self.t
+        keys = keys[np.lexsort((keys, self.v))]
+        splits = np.flatnonzero(np.diff(self.v)) + 1
+        return dict(zip(self.v_ids.tolist(), np.split(keys, splits)))
 
     # ------------------------------------------------------------------
     # Basic accessors (paper Definitions 2.1 / 2.2)
@@ -159,25 +141,9 @@ class TemporalBipartiteIndex:
         """``N(v, G)`` — static neighbors of ``v`` in U."""
         return self.n_v.get(v, set())
 
-    def s_neighbors_u(self, u: int) -> Set[int]:
-        """``N(u, G)`` — static neighbors of ``u`` in V."""
-        return self.n_u.get(u, set())
-
     def m_neighbors_v(self, v: int, t: int) -> Set[int]:
         """``Γ(v, t)`` — m-neighbors of ``v`` at timestamp ``t``."""
         return self.gamma_v.get(v, {}).get(t, set())
-
-    def m_neighbors_u(self, u: int, t: int) -> Set[int]:
-        """``Γ(u, t)`` — m-neighbors of ``u`` at timestamp ``t``."""
-        return self.gamma_u.get(u, {}).get(t, set())
-
-    def m_degree_v(self, v: int, t: int) -> int:
-        """``δ(v, t)``."""
-        return len(self.m_neighbors_v(v, t))
-
-    def m_degree_u(self, u: int, t: int) -> int:
-        """``δ(u, t)``."""
-        return len(self.m_neighbors_u(u, t))
 
     # ------------------------------------------------------------------
     # Derived sets and orders
@@ -202,26 +168,21 @@ class TemporalBipartiteIndex:
         return rank
 
     def v_edge_keys(self, v: int) -> np.ndarray:
-        """All temporal edges of ``v`` flattened to ``u·|T| + t_pos`` keys.
+        """All temporal edges of ``v`` as sorted keys ``u_code·|T| + t_code``.
 
-        Cached per vertex; the CheckFRE verification (Algorithm 3) counts
-        how many members of ``V_S`` each ``(u, t)`` key covers — a key hit
-        ``|V_S|`` times is a common m-neighbor occurrence (a Reborn-Array
-        slot reaching ``|V_S|``).
+        Keys are built from the dense codes, not the ids, so they stay below
+        ``|U|·|T|`` however large the ids are.
+
+        The CheckFRE verification (Algorithm 3) counts how many members of
+        ``V_S`` each ``(u, t)`` key covers — a key hit ``|V_S|`` times is a
+        common m-neighbor occurrence (a Reborn-Array slot reaching ``|V_S|``).
         """
-        cache: Dict[int, np.ndarray] = self._views.setdefault("v_edge_keys", {})
-        if v not in cache:
-            c = int(np.searchsorted(self.v_ids, v))
-            lo, hi = np.searchsorted(self.v, [c, c + 1])
-            if c == len(self.v_ids) or self.v_ids[c] != v:
-                lo = hi
-            keys = self.u_ids[self.u[lo:hi]] * len(self.t_ids) + self.t[lo:hi]
-            cache[v] = np.sort(keys)
-        return cache[v]
+        return self._v_edge_keys.get(v, np.empty(0, dtype=np.int64))
 
     def edges_iter(self) -> Iterable[Tuple[int, int, int]]:
-        """Iterate all distinct ``(u, v, t)`` temporal edges."""
-        return zip(*self._id_columns())
+        """Iterate all distinct ``(u, v, t)`` edges, in ``(v, t, u)`` order."""
+        cols = (getattr(self, c + "_ids")[getattr(self, c)] for c in "uvt")
+        return zip(*(col.tolist() for col in cols))
 
     def to_pandas(self) -> pd.DataFrame:
         """Materialize back to a pandas edge frame (sorted, deterministic)."""

@@ -15,7 +15,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType, StructField, StructType
+from pyspark.sql.types import IntegralType, LongType, StructField, StructType
+
+from repro.graph.index import edge_columns
 
 #: Canonical Spark schema for temporal edge DataFrames.
 EDGE_SCHEMA = StructType(
@@ -31,20 +33,33 @@ EDGE_COLUMNS = ("u", "v", "t")
 
 
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Build a distinct temporal-edge DataFrame from a pandas frame."""
-    pdf = pdf[list(EDGE_COLUMNS)].astype("int64")
+    """Build a distinct temporal-edge DataFrame from a pandas frame.
+
+    Raises ``ValueError`` for a missing or non-integer column, as
+    :func:`repro.graph.index.edge_columns` does.
+    """
+    pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
     return spark.createDataFrame(pdf, schema=EDGE_SCHEMA).distinct()
 
 
 def validate_edges(edges: DataFrame) -> DataFrame:
     """Validate an edge DataFrame's shape; returns the projected frame.
 
-    Raises ``ValueError`` when a required column is missing. Casting to the
-    canonical long types is applied so downstream joins never mix int32/int64.
+    Raises ``ValueError`` when a required column is missing or not of an
+    integral type; the check reads the schema only, so it runs no Spark job.
+    Casting to the canonical long types is applied so downstream joins never
+    mix int32/int64.
     """
     missing = [c for c in EDGE_COLUMNS if c not in edges.columns]
     if missing:
         raise ValueError(f"edge DataFrame missing columns {missing}")
+    bad = {
+        f.name: f.dataType.simpleString()
+        for f in edges.schema.fields
+        if f.name in EDGE_COLUMNS and not isinstance(f.dataType, IntegralType)
+    }
+    if bad:
+        raise ValueError(f"edge columns must be integer, got {bad}")
     return edges.select(*(F.col(c).cast(LongType()).alias(c) for c in EDGE_COLUMNS))
 
 

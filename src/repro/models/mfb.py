@@ -41,14 +41,16 @@ def mfb(
     :func:`gfcore_local` (the skeleton peel) does.
     """
     check_params(tau_u, tau_v, lam)
-    # Timestamp bitmasks of the static edges present in ≥ λ snapshots. A
-    # frequent biclique's u keeps ≥ τ_V and its v ≥ τ_U of these edges: it
-    # lies in their (τ_V, τ_U, 1)-core, taken as one snapshot.
-    masks = {
-        (u, v): int(sum(1 << int(p) for p in ts))
-        for (u, v), ts in index.edge_ts.items()
-        if len(ts) >= lam
-    }
+    # Timestamp bitmasks of the static edges present in ≥ λ snapshots; bit
+    # p is the p-th timestamp of T. A frequent biclique's u keeps ≥ τ_V and
+    # its v ≥ τ_U of these edges: it lies in their (τ_V, τ_U, 1)-core, taken
+    # as one snapshot.
+    masks: Dict[Tuple[int, int], int] = {}
+    edges = zip(index.u_ids[index.u].tolist(), index.v_ids[index.v].tolist())
+    for edge, p in zip(edges, index.t.tolist()):
+        masks[edge] = masks.get(edge, 0) | 1 << p
+    masks = {e: m for e, m in masks.items() if m.bit_count() >= lam}
+    all_ts = (1 << len(index.t_ids)) - 1
     skeleton = TemporalBipartiteIndex((u, v, 0) for u, v in masks)
     adj_v: Dict[int, Set[int]] = gfcore_local(skeleton, tau_u, tau_v, 1).n_v
     vees = sorted(adj_v)
@@ -81,7 +83,7 @@ def mfb(
                     return
             pairs.append((frozenset(us), vs))
 
-        rec_u([], (1 << len(index.timestamps)) - 1, ucand)
+        rec_u([], all_ts, ucand)
 
     def rec_v(vs: List[int], cand: List[int]) -> None:
         if budget[0] <= 0:
@@ -102,7 +104,7 @@ def mfb(
                 rec_v(vs + [v], cand[i + 1 :])
 
     def _and_masks(m: Dict[Tuple[int, int], int], u: int, vs: List[int]) -> int:
-        out = (1 << len(index.timestamps)) - 1
+        out = all_ts
         for v in vs:
             out &= m.get((u, v), 0)
         return out

@@ -1,7 +1,9 @@
 """Distributed (Spark fan-out) enumeration ≡ sequential kernels."""
 from __future__ import annotations
 
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.distributed import enumerate_mfg_distributed
 from repro.core.gfcore import gfcore_local
@@ -123,3 +125,21 @@ def test_distributed_validates_edges_before_spark(spark, column):
     _raises_before_any_job(
         spark, f"validate-no-{column}", edges, (2, 2, 3), f"missing.*{column}"
     )
+
+
+@pytest.mark.parametrize("column", ["u", "v", "t"])
+def test_distributed_rejects_fractional_column_before_spark(spark, column):
+    edges = edges_from_pandas(spark, figure2_edges())
+    edges = edges.withColumn(column, F.col(column) + 0.5)
+    _raises_before_any_job(
+        spark, f"validate-fractional-{column}", edges, (2, 2, 3),
+        f"integer.*'{column}'",
+    )
+
+
+def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
+    fractional = pd.DataFrame({"u": [1.5, 2.7], "v": [3.2, 3.9], "t": [0.1, 0.9]})
+    with pytest.raises(ValueError, match="integer"):
+        edges_from_pandas(spark, fractional)
+    with pytest.raises(ValueError, match="missing.*'t'"):
+        edges_from_pandas(spark, figure2_edges().drop(columns="t"))

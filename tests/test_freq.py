@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freq import (
-    check_fre,
-    common_s_neighbors,
-    is_frequent_naive,
-    support_timestamps,
-)
+from repro.core.freq import check_fre, is_frequent_naive, support_timestamps
+from repro.graph.index import TemporalBipartiteIndex
 from tests.conftest import random_temporal_graph
 
 
@@ -49,9 +45,8 @@ def test_check_fre_equals_naive(seed, tau_u, lam):
     vees = sorted(g.n_v)
     for size in (1, 2, 3):
         for vs in combinations(vees[:5], size):
-            us = common_s_neighbors(g, vs)
             expected = len(support_timestamps(g, vs, tau_u)) >= lam
-            assert check_fre(g, us, vs, tau_u, lam) is expected
+            assert check_fre(g, vs, tau_u, lam) is expected
             assert is_frequent_naive(g, vs, tau_u, lam) is expected
 
 
@@ -69,23 +64,29 @@ def test_check_fre_property(seed, tau_u, lam, size):
     vees = sorted(g.n_v)[:size]
     if not vees:
         return
-    us = common_s_neighbors(g, vees)
     expected = len(_support_reference(g, vees, tau_u)) >= lam
-    assert check_fre(g, us, vees, tau_u, lam) is expected
+    assert check_fre(g, vees, tau_u, lam) is expected
 
 
 def test_empty_set_is_not_frequent(fig2):
     assert support_timestamps(fig2, [], 1) == set()
     assert is_frequent_naive(fig2, [], 1, 1) is False
-    assert check_fre(fig2, set(fig2.n_u), [], 1, 1) is False
+    assert check_fre(fig2, [], 1, 1) is False
 
 
-def test_common_s_neighbors_empty_vs_is_all_u(fig2):
-    assert common_s_neighbors(fig2, []) == {1, 2, 3, 4, 5}
+def test_check_fre_with_ids_past_int64_over_t():
+    """u ids whose ``id·|T|`` overflows int64 (here 2^62·3) must not shift
+    an edge to another timestamp slot: {v1, v2} is frequent at t0 and t1."""
+    g = TemporalBipartiteIndex(
+        [(u, v, t) for u in (2**61, 2**62) for v in (1, 2) for t in (0, 1)]
+        + [(5, 3, 2)]
+    )
+    assert support_timestamps(g, [1, 2], 2) == {0, 1}
+    assert check_fre(g, [1, 2], 2, 2) is True
 
 
 def test_single_vertex_support_is_degree_threshold(fig2):
     # {v1}: δ(v1,t) ≥ 2 exactly at t ∈ {1,2,3,4}.
     assert support_timestamps(fig2, [1], 2) == {1, 2, 3, 4}
-    assert check_fre(fig2, fig2.s_neighbors_v(1), [1], 2, 4) is True
-    assert check_fre(fig2, fig2.s_neighbors_v(1), [1], 2, 5) is False
+    assert check_fre(fig2, [1], 2, 4) is True
+    assert check_fre(fig2, [1], 2, 5) is False

@@ -1,6 +1,7 @@
 """Unit tests for the TemporalBipartiteIndex substrate."""
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -30,8 +31,10 @@ class TestConstruction:
         assert small.timestamps == (0, 1)
 
     def test_t_pos_dense(self):
+        # The t code of an edge is its timestamp's position in T.
         idx = TemporalBipartiteIndex([(1, 10, 5), (1, 10, 100), (1, 10, 7)])
-        assert idx.t_pos == {5: 0, 7: 1, 100: 2}
+        assert idx.t_ids.tolist() == [5, 7, 100]
+        assert idx.t.tolist() == [0, 1, 2]
 
     def test_vertex_lists(self, small):
         assert small.u_vertices == [1, 2]
@@ -50,21 +53,26 @@ class TestConstruction:
 class TestNeighborhoods:
     def test_s_neighbors(self, small):
         assert small.s_neighbors_v(10) == {1, 2}
-        assert small.s_neighbors_u(1) == {10, 11}
+        assert small.s_neighbors_v(11) == {1, 2}
 
     def test_m_neighbors(self, small):
         assert small.m_neighbors_v(10, 0) == {1}
         assert small.m_neighbors_v(10, 1) == {1, 2}
-        assert small.m_neighbors_u(2, 1) == {10, 11}
+        assert small.m_neighbors_v(11, 0) == {1}
+        assert small.m_neighbors_v(11, 1) == {2}
 
     def test_missing_vertex_is_empty(self, small):
         assert small.m_neighbors_v(99, 0) == set()
-        assert small.s_neighbors_u(99) == set()
+        assert small.m_neighbors_v(10, 99) == set()
+        assert small.s_neighbors_v(99) == set()
+        assert small.v_edge_keys(99).tolist() == []
 
     def test_m_degrees(self, small):
-        assert small.m_degree_v(10, 1) == 2
-        assert small.m_degree_u(1, 0) == 2
-        assert small.m_degree_u(2, 0) == 0
+        assert len(small.m_neighbors_v(10, 1)) == 2
+        # δ(u, t) from the edge frame: the index keeps V-side views only.
+        delta_u = small.to_pandas().groupby(["u", "t"]).size()
+        assert delta_u[(1, 0)] == 2
+        assert (2, 0) not in delta_u
 
 
 class TestDerived:
@@ -73,13 +81,10 @@ class TestDerived:
         assert small.t_of_v(10, 2) == frozenset({1})
         assert small.t_of_v(10, 1) == frozenset({0, 1})
 
-    def test_edge_ts_positions(self, small):
-        np.testing.assert_array_equal(small.edge_ts[(1, 10)], [0, 1])
-        np.testing.assert_array_equal(small.edge_ts[(2, 10)], [1])
-
     def test_v_edge_keys_multiplicity(self, small):
-        # v=10 has edges (1,t0), (1,t1), (2,t1) → keys 1*2+0, 1*2+1, 2*2+1.
-        np.testing.assert_array_equal(small.v_edge_keys(10), [2, 3, 5])
+        # v=10 has edges (u1,t0), (u1,t1), (u2,t1); u1 and u2 have codes 0
+        # and 1 → keys 0*2+0, 0*2+1, 1*2+1.
+        np.testing.assert_array_equal(small.v_edge_keys(10), [0, 1, 3])
 
     def test_v_edge_keys_cached(self, small):
         assert small.v_edge_keys(10) is small.v_edge_keys(10)
@@ -88,7 +93,8 @@ class TestDerived:
         # u=1 and v=1 are different vertices.
         idx = TemporalBipartiteIndex([(1, 1, 0)])
         assert idx.u_vertices == [1] and idx.v_vertices == [1]
-        assert idx.s_neighbors_u(1) == {1} and idx.s_neighbors_v(1) == {1}
+        assert idx.s_neighbors_v(1) == {1} and idx.gamma_v == {1: {0: {1}}}
+        assert idx.to_pandas().values.tolist() == [[1, 1, 0]]
 
     def test_subset_recompacts_codes(self, small):
         out = small.subset(small.v_ids[small.v] == 10)
@@ -106,23 +112,24 @@ class TestDerived:
 
 def _reference(triples: List[Tuple[int, int, int]]) -> Dict[str, object]:
     """Every view, built with dicts of sets straight from the raw triples."""
-    ref: Dict[str, dict] = {
-        k: {} for k in ("gamma_v", "gamma_u", "n_v", "n_u", "edge_ts")
-    }
+    ref: Dict[str, dict] = {"gamma_v": {}, "n_v": {}}
     ts = sorted({t for _u, _v, t in triples})
     t_pos = {t: i for i, t in enumerate(ts)}
+    u_pos = {u: i for i, u in enumerate(sorted({u for u, _v, _t in triples}))}
     for u, v, t in set(triples):
         ref["gamma_v"].setdefault(v, {}).setdefault(t, set()).add(u)
-        ref["gamma_u"].setdefault(u, {}).setdefault(t, set()).add(v)
         ref["n_v"].setdefault(v, set()).add(u)
-        ref["n_u"].setdefault(u, set()).add(v)
-        ref["edge_ts"].setdefault((u, v), set()).add(t_pos[t])
-    ref["edge_ts"] = {e: sorted(p) for e, p in ref["edge_ts"].items()}
     ref["v_edge_keys"] = {
-        v: sorted(u * len(ts) + t_pos[t] for t, us in per_t.items() for u in us)
+        v: sorted(
+            u_pos[u] * len(ts) + t_pos[t] for t, us in per_t.items() for u in us
+        )
         for v, per_t in ref["gamma_v"].items()
     }
-    ref.update(timestamps=tuple(ts), t_pos=t_pos, n_edges=len(set(triples)))
+    ref.update(
+        timestamps=tuple(ts),
+        u_vertices=sorted(u_pos),
+        n_edges=len(set(triples)),
+    )
     return ref
 
 
@@ -148,10 +155,50 @@ class TestViewsMatchReference:
         ref = _reference(rows)
         assert len(idx) == ref["n_edges"]
         assert idx.timestamps == ref["timestamps"]
-        assert idx.t_pos == ref["t_pos"]
-        for name in ("gamma_v", "gamma_u", "n_v", "n_u"):
+        for name in ("gamma_v", "n_v"):
             assert getattr(idx, name) == ref[name], name
-        assert {e: p.tolist() for e, p in idx.edge_ts.items()} == ref["edge_ts"]
+        assert idx.u_vertices == ref["u_vertices"]
+        assert idx.v_vertices == sorted(ref["n_v"])
+        keys = {v: k.tolist() for v, k in idx._v_edge_keys.items()}
+        assert keys == ref["v_edge_keys"]
         for v, keys in ref["v_edge_keys"].items():
             assert idx.v_edge_keys(v).tolist() == keys
         assert sorted(idx.edges_iter()) == sorted(set(raw))
+        # A view added to the index must be added to this comparison.
+        views = {n for n, a in vars(TemporalBipartiteIndex).items()
+                 if isinstance(a, cached_property)}
+        assert views == {"timestamps", "gamma_v", "n_v", "_v_edge_keys"}
+
+
+class TestValidation:
+    """Ids and timestamps must be integers: nothing is silently truncated."""
+
+    FRACTIONAL = {"u": [1.5, 2.7], "v": [3.2, 3.9], "t": [0.1, 0.9]}
+
+    @pytest.mark.parametrize("column", ["u", "v", "t"])
+    def test_from_pandas_rejects_one_non_integer_column(self, column):
+        pdf = pd.DataFrame({"u": [1, 2], "v": [3, 3], "t": [0, 1]})
+        # Any integer dtype is accepted ...
+        ok = pdf.astype({"u": "int32", "v": "uint8", "t": "int16"})
+        assert len(TemporalBipartiteIndex.from_pandas(ok)) == 2
+        # ... a fractional column is not.
+        pdf[column] = self.FRACTIONAL[column]
+        with pytest.raises(ValueError, match=f"integer.*'{column}'"):
+            TemporalBipartiteIndex.from_pandas(pdf)
+
+    @pytest.mark.parametrize("column", ["u", "v", "t"])
+    def test_from_pandas_names_a_missing_column(self, column):
+        pdf = pd.DataFrame({"u": [1], "v": [3], "t": [0]}).drop(columns=column)
+        with pytest.raises(ValueError, match=f"missing.*'{column}'"):
+            TemporalBipartiteIndex.from_pandas(pdf)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(1.5, 3, 0), (1, 3.2, 0), (1, 3, 0.9), (1, 3, np.float64(2.0)), (1, 3, "0")],
+    )
+    def test_triples_reject_non_integer_values(self, bad):
+        # numpy integers are integers too.
+        ok = TemporalBipartiteIndex([(np.int32(1), np.int64(3), 0)])
+        assert list(ok.edges_iter()) == [(1, 3, 0)]
+        with pytest.raises(ValueError, match="integer"):
+            TemporalBipartiteIndex([(2, 3, 1), bad])

@@ -166,6 +166,24 @@ class TestMFB:
             non_empty += bool(got)
         assert non_empty >= 40
 
+    def test_masks_past_64_timestamps(self):
+        """A biclique at the 1st, 65th and 66th of 66 timestamps: its edges'
+        mask bits (timestamp positions) 0, 64 and 65 do not fit in 64 bits.
+        Filler edges make the 66 timestamps; v12 joins the biclique at the
+        2nd and 65th only, a near miss."""
+        ts = [1000 + 7 * i for i in range(66)]
+        triples = [(900, 900, t) for t in ts]
+        triples += [
+            (u, v, ts[p]) for u in (1, 2) for v in (10, 11) for p in (0, 64, 65)
+        ]
+        triples += [(u, 12, ts[p]) for u in (1, 2) for p in (1, 64)]
+        idx = TemporalBipartiteIndex(triples)
+        assert len(idx.t_ids) == 66
+        expected = [(frozenset({1, 2}), frozenset({10, 11}))]
+        assert mfb(idx, 2, 2, 3) == expected
+        assert set(expected) == mfb_bruteforce(triples, 2, 2, 3)
+        assert mfb(idx, 2, 2, 4) == []
+
     @pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0)])
     def test_rejects_non_positive_parameter(self, fig2, params):
         with pytest.raises(ValueError):

@@ -7,12 +7,7 @@ import pytest
 from repro.core.bk_alg import bk_alg
 from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.filterv import filterv
-from repro.core.freq import (
-    check_fre,
-    common_s_neighbors,
-    is_frequent_naive,
-    support_timestamps,
-)
+from repro.core.freq import check_fre, is_frequent_naive, support_timestamps
 from repro.core.gfcore import gfcore_local
 from repro.core.vfree import vfree
 from tests.conftest import FIG2_MFGS
@@ -21,19 +16,29 @@ PARAMS = (2, 2, 3)  # τ_U, τ_V, λ of Examples 2.2/3.1/4.x
 
 
 class TestExample21:
-    """Example 2.1 — structural and momentary neighborhoods of u1."""
+    """Example 2.1 — structural and momentary neighborhoods of u1, read from
+    the edge frame and from the V-side views (the index has no U side)."""
 
-    def test_s_neighbors_u1(self, fig2):
-        assert fig2.s_neighbors_u(1) == {1, 2, 3, 4, 5}
+    @pytest.fixture()
+    def u1_edges(self, fig2):
+        pdf = fig2.to_pandas()
+        return pdf[pdf.u == 1]
 
-    def test_s_degree_u1(self, fig2):
-        assert len(fig2.s_neighbors_u(1)) == 5
+    def test_s_neighbors_u1(self, fig2, u1_edges):
+        assert set(u1_edges.v.tolist()) == {1, 2, 3, 4, 5}
+        assert {v for v in fig2.v_vertices if 1 in fig2.s_neighbors_v(v)} == {
+            1, 2, 3, 4, 5
+        }
 
-    def test_m_neighbors_u1_t1(self, fig2):
-        assert fig2.m_neighbors_u(1, 1) == {3}
+    def test_s_degree_u1(self, u1_edges):
+        assert u1_edges.v.nunique() == 5
 
-    def test_m_degree_u1_t1(self, fig2):
-        assert fig2.m_degree_u(1, 1) == 1
+    def test_m_neighbors_u1_t1(self, fig2, u1_edges):
+        assert u1_edges.v[u1_edges.t == 1].tolist() == [3]
+        assert {v for v in fig2.v_vertices if 1 in fig2.m_neighbors_v(v, 1)} == {3}
+
+    def test_m_degree_u1_t1(self, u1_edges):
+        assert int((u1_edges.t == 1).sum()) == 1
 
 
 class TestExample22:
@@ -60,14 +65,15 @@ class TestExample31:
 
     def test_us_is_all_of_u(self, fig2):
         # "U_S = {u1, u2, u3, u4, u5}"
-        assert common_s_neighbors(fig2, self.VS) == {1, 2, 3, 4, 5}
+        us = set.intersection(*(fig2.s_neighbors_v(v) for v in self.VS))
+        assert us == {1, 2, 3, 4, 5}
 
     @pytest.mark.parametrize(
         "t,expected", [(1, 1), (2, 3), (3, 0), (4, 4), (5, 0), (6, 3)]
     )
     def test_u1_reborn_array(self, fig2, t, expected):
         # u1's RA over the six timestamps is "1, 3, 0, 4, 0, 3".
-        assert len(fig2.m_neighbors_u(1, t) & set(self.VS)) == expected
+        assert sum(1 in fig2.m_neighbors_v(v, t) for v in self.VS) == expected
 
     @pytest.mark.parametrize("t,expected", [(1, 2), (3, 2), (4, 2)])
     def test_update_array_support_slots(self, fig2, t, expected):
@@ -85,14 +91,12 @@ class TestExample31:
         assert len(common) < 2
 
     def test_check_fre_passes(self, fig2):
-        us = common_s_neighbors(fig2, self.VS)
-        assert check_fre(fig2, us, self.VS, 2, 3) is True
+        assert check_fre(fig2, self.VS, 2, 3) is True
 
     def test_check_fre_rejects_infrequent(self, fig2):
         # {v1, v4} has only 2 support timestamps (t2, t3) — not frequent.
         assert support_timestamps(fig2, [1, 4], 2) == {2, 3}
-        us = common_s_neighbors(fig2, [1, 4])
-        assert check_fre(fig2, us, [1, 4], 2, 3) is False
+        assert check_fre(fig2, [1, 4], 2, 3) is False
 
     def test_naive_agrees(self, fig2):
         assert is_frequent_naive(fig2, self.VS, 2, 3) is True

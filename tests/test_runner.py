@@ -1,6 +1,8 @@
 """Unified runner API tests."""
 from __future__ import annotations
 
+from functools import cached_property
+
 import pytest
 
 from repro.core.runner import ALGORITHMS, MFGRun, Params, run_mfg
@@ -46,13 +48,23 @@ def test_cm_share_bounded(fig2):
 
 @pytest.mark.parametrize("alg", ["vfree", "vfree-", "vfree-noreorder"])
 def test_vfree_path_builds_no_dict_view(monkeypatch, alg):
-    """The VFree path reads the edge codes only: building any dict view on
+    """The VFree path reads the edge codes only: building any cached view on
     any index (input or core) would be a silent fallback to the slow path."""
     index = TemporalBipartiteIndex.from_pandas(figure2_edges())
+    views = [
+        name
+        for name, attr in vars(TemporalBipartiteIndex).items()
+        if isinstance(attr, cached_property)
+    ]  # TestViewsMatchReference pins this list
 
-    def refuse(self, build):
-        raise AssertionError(f"view {build.__name__} built on the VFree path")
+    def refuse(name):
+        def build(self):
+            raise AssertionError(f"view {name} built on the VFree path")
 
-    monkeypatch.setattr(TemporalBipartiteIndex, "_view", refuse)
+        return property(build)
+
+    for name in views:
+        monkeypatch.setattr(TemporalBipartiteIndex, name, refuse(name))
     assert run_mfg(index, Params(2, 2, 3), alg).groups == FIG2_MFGS
-    assert index._views == {}
+    # The input index holds its edge codes and nothing else.
+    assert set(vars(index)) == {"u_ids", "v_ids", "t_ids", "u", "v", "t"}
