@@ -1,11 +1,18 @@
-"""Distributed MFG enumeration: a Spark peel, then VFree over rank shares.
+"""Distributed MFG enumeration: peel to the core, then VFree over rank shares.
 
 Pipeline (DESIGN.md §2 "Layering note"):
 
-1. ``gfcore_spark`` — iterative DataFrame peel to the (τ_V, τ_U, λ)-core.
-2. The core is collected once into a :class:`TemporalBipartiteIndex` on
-   the driver and broadcast to the executors. This assumes the core fits in
-   driver memory (DESIGN.md says why it does).
+1. The (τ_V, τ_U, λ)-core is built on the driver as soon as the graph fits
+   the driver's edge budget (:func:`driver_edge_budget`). A graph that fits
+   from the start is collected once, raw, and peeled by ``gfcore_local``
+   with no Spark peel round. A larger graph is peeled by Spark rounds
+   (``gfcore_spark``'s round loop) only until its edge count fits the
+   budget, or to the fixpoint; then it is collected and ``gfcore_local``
+   finishes the peel. The peel fixpoint is unique (Lemma 3.1 and
+   :mod:`repro.core.gfcore`), so every split of the rounds between Spark
+   and the driver gives the same core.
+2. The core, a :class:`TemporalBipartiteIndex`, is broadcast to the
+   executors.
 3. ``n = min(defaultParallelism, |V|)`` tasks each search one share of
    VFree's processing order: task ``i`` runs
    ``vfree(core, ..., roots=slice(i, None, n))``, the roots of rank ``i``,
@@ -19,13 +26,56 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set
 
+from pyspark import SparkContext
 from pyspark.sql import DataFrame
 
-from repro.core.gfcore import gfcore_spark
+from repro.core.gfcore import _spark_rounds, gfcore_local
 from repro.core.params import check_params
 from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import validate_edges
+
+#: Bytes per edge on the driver: three int64 columns (DESIGN.md §2).
+EDGE_BYTES = 24
+#: The largest row count ``DataFrame.limit`` takes (a JVM ``int``), less one.
+_MAX_LIMIT = 2**31 - 2
+
+
+def driver_edge_budget(sc: SparkContext) -> int:
+    """Edges the driver may collect: ``spark.driver.maxResultSize / 48``.
+
+    Spark aborts a job whose results exceed ``spark.driver.maxResultSize``
+    (default ``1g``), and a collected edge is ``EDGE_BYTES`` = 24 bytes; the
+    budget takes half of that cap, so the frame's serialization overhead
+    never reaches it. The default cap gives 22,369,621 edges. ``0`` (no
+    cap) gives the largest budget ``DataFrame.limit`` accepts.
+    """
+    cap = sc._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
+        sc.getConf().get("spark.driver.maxResultSize", "1g")
+    )
+    return min(cap // (2 * EDGE_BYTES), _MAX_LIMIT) if cap > 0 else _MAX_LIMIT
+
+
+def _collect_core(
+    edges: DataFrame, tau_u: int, tau_v: int, lam: int, budget: int
+) -> TemporalBipartiteIndex:
+    """The (τ_V, τ_U, λ)-core, peeled on the driver once it fits ``budget``.
+
+    One ``limit(budget + 1)`` collect is both the fit test and, when the raw
+    rows fit, the collect itself. Otherwise Spark rounds run until the
+    distinct edge count fits or the fixpoint is reached, and that frame is
+    collected. Each collected frame is dropped as soon as it is encoded.
+    """
+    raw = edges.limit(budget + 1).toPandas()
+    if len(raw) > budget:
+        raw = None  # free the probe before the Spark rounds
+        for frame, n in _spark_rounds(edges, tau_u, tau_v, lam):
+            if n <= budget:
+                break
+        raw = frame.toPandas()
+    index = TemporalBipartiteIndex.from_pandas(raw)
+    del raw
+    return gfcore_local(index, tau_u, tau_v, lam)
 
 
 def enumerate_mfg_distributed(
@@ -38,21 +88,25 @@ def enumerate_mfg_distributed(
 ) -> Dict[FrozenSet[int], Set[int]]:
     """Enumerate all MFGs of a Spark edge DataFrame; collect to the driver.
 
-    ``algorithm`` must be ``"vfree"``, the one distributed kernel. Returns
-    ``{V_S: support timestamps}`` with original ids. Raises ``ValueError``
-    before any Spark job for another ``algorithm``, a non-positive
-    ``tau_u``, ``tau_v`` or ``lam`` (:func:`repro.core.params.check_params`),
-    or a frame without ``u``, ``v`` and ``t`` columns.
+    ``algorithm`` must be ``"vfree"``, the one distributed kernel. With
+    ``apply_graph_filter=False`` the frame is searched as given, unpeeled.
+    Returns ``{V_S: support timestamps}`` with original ids. Raises
+    ``ValueError`` before any Spark job for another ``algorithm``, a
+    non-positive ``tau_u``, ``tau_v`` or ``lam``
+    (:func:`repro.core.params.check_params`), or a frame without ``u``,
+    ``v`` and ``t`` columns.
     """
     if algorithm != "vfree":
         raise ValueError(f"the distributed kernel is vfree, got {algorithm!r}")
     check_params(tau_u, tau_v, lam)
     edges = validate_edges(edges)
-    work = gfcore_spark(edges, tau_u, tau_v, lam) if apply_graph_filter else edges
-    core = TemporalBipartiteIndex.from_pandas(work.toPandas())
+    sc = edges.sparkSession.sparkContext
+    if apply_graph_filter:
+        core = _collect_core(edges, tau_u, tau_v, lam, driver_edge_budget(sc))
+    else:
+        core = TemporalBipartiteIndex.from_pandas(edges.toPandas())
     if len(core) == 0:
         return {}
-    sc = work.sparkSession.sparkContext
     n = min(sc.defaultParallelism, len(core.v_ids))
     b_core = sc.broadcast(core)
 

@@ -13,16 +13,24 @@ unique and any peeling order reaches it: the paper's recursive ``CorePrune``
 cascade and the synchronous peels below converge to the same subgraph. By
 Lemma 3.1 every MFG vertex survives, so pruning first never loses results.
 
-Two implementations:
+Two implementations of the same synchronous rounds:
 
-- :func:`gfcore_local` — in-memory synchronous peel over the adjacency
-  index (used inside search kernels and for small graphs);
+- :func:`gfcore_local` — in-memory peel over the index's edge codes, on
+  the driver;
 - :func:`gfcore_spark` — the same peel as an iterative Spark dataflow
   (one pass per round: window m-degree and snapshot counts → filter the
-  violators → repeat until the edge count is stable), for graphs that start
-  out large.
+  violators → repeat until the edge count is stable), for graphs that do
+  not fit on the driver.
+
+Because the fixpoint is unique, the two can also be chained: the
+distributed path (:mod:`repro.core.distributed`) runs Spark rounds only
+until the graph fits its driver budget, then finishes with
+:func:`gfcore_local`. Both Spark callers share one round loop,
+:func:`_spark_rounds`.
 """
 from __future__ import annotations
+
+from typing import Iterator, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -42,22 +50,27 @@ def gfcore_local(
     ``(u, t)`` / ``(v, t)`` m-degrees and the per-``v`` alive-snapshot
     counts with ``np.bincount`` and drops every violating edge at once,
     until no edge is dropped (the fixpoint — same subgraph as the paper's
-    recursive ``CorePrune`` cascade, see module docstring). The core is
+    recursive ``CorePrune`` cascade, see module docstring). The counters
+    are indexed by the ``(u, t)`` and ``(v, t)`` pairs that have an edge,
+    so they take O(|E|) memory, not O(|U|·|T|). The core is
     :meth:`TemporalBipartiteIndex.subset` of the surviving edges.
     """
     check_params(tau_u, tau_v, lam)
-    n_u, n_v, n_t = len(index.u_ids), len(index.v_ids), len(index.t_ids)
-    ut_key = index.u * n_t + index.t
-    vt_key = index.v * n_t + index.t
+    n_t = len(index.t_ids)
+    ut_pairs, ut = np.unique(index.u * n_t + index.t, return_inverse=True)
+    # Edges are sorted by (v, t, u), so each (v, t) pair is one run.
+    vt_first = np.diff(index.v * n_t + index.t, prepend=-1) != 0
+    vt = np.cumsum(vt_first) - 1
+    vt_v = index.v[vt_first]  # the v of every (v, t) pair
     alive = np.ones(len(index), dtype=bool)
     while True:
-        d_ut = np.bincount(ut_key[alive], minlength=n_u * n_t)
-        d_vt = np.bincount(vt_key[alive], minlength=n_v * n_t)
+        d_ut = np.bincount(ut[alive], minlength=len(ut_pairs))
+        d_vt = np.bincount(vt[alive], minlength=len(vt_v))
         # Alive snapshots per v (frequency constraint).
-        s_v = np.count_nonzero(d_vt.reshape(n_v, n_t), axis=1)
+        s_v = np.bincount(vt_v[d_vt > 0], minlength=len(index.v_ids))
         bad = alive & (
-            (d_ut[ut_key] < tau_v)
-            | (d_vt[vt_key] < tau_u)
+            (d_ut[ut] < tau_v)
+            | (d_vt[vt] < tau_u)
             | (s_v[index.v] < lam)
         )
         if not bad.any():
@@ -65,25 +78,28 @@ def gfcore_local(
         alive &= ~bad
 
 
-def gfcore_spark(
-    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = 200
-) -> DataFrame:
-    """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
+#: Spark peel rounds after which :func:`_spark_rounds` gives up.
+MAX_ROUNDS = 200
 
-    Each round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
+
+def _spark_rounds(
+    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = MAX_ROUNDS
+) -> Iterator[Tuple[DataFrame, int]]:
+    """Yield ``(frame, edge count)`` of the distinct edges, then of every
+    Spark peel round, until the fixpoint.
+
+    A round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
     (``size(collect_set(t))``: Spark has no windowed ``COUNT(DISTINCT)``)
     as window aggregates in one projection, and drops every violating edge
-    at once, as :func:`gfcore_local` does; rounds repeat until the edge
-    count is stable (the peel fixpoint). Each round's frame is a lazy
-    ``localCheckpoint`` that the round's ``count()`` materializes, so a
-    round is one Spark job and the plan does not grow with the iteration
-    count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
-    fixpoint, and ``ValueError`` before any Spark job for a non-positive
-    parameter.
+    at once, as :func:`gfcore_local` does. Each frame is a lazy
+    ``localCheckpoint`` that its ``count()`` materializes, so a round is one
+    Spark job and the plan does not grow with the round count. A caller may
+    stop early; the last frame yielded is the fixpoint. Raises
+    ``RuntimeError`` when ``max_iter`` rounds end without a fixpoint.
     """
-    check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev, rounds = e.count(), None, 0
+    yield e, n
     while n not in (0, n_prev):
         if rounds == max_iter:
             raise RuntimeError(
@@ -108,4 +124,20 @@ def gfcore_spark(
             .localCheckpoint(eager=False)
         )
         n_prev, n = n, e.count()
-    return e
+        yield e, n
+
+
+def gfcore_spark(
+    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = MAX_ROUNDS
+) -> DataFrame:
+    """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
+
+    Runs :func:`_spark_rounds` to the fixpoint (the edge count is stable)
+    and returns the core's ``u, v, t`` frame. Raises ``RuntimeError`` when
+    ``max_iter`` rounds end without a fixpoint, and ``ValueError`` before
+    any Spark job for a non-positive parameter.
+    """
+    check_params(tau_u, tau_v, lam)
+    for core, _ in _spark_rounds(edges, tau_u, tau_v, lam, max_iter):
+        pass
+    return core

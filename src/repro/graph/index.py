@@ -49,13 +49,20 @@ class TemporalBipartiteIndex:
     and T; ``u`` / ``v`` / ``t`` the per-edge codes into them, sorted by
     ``(v, t, u)``. Both constructors deduplicate with one ``np.unique``
     over a packed ``(v, t, u)`` key, and raise ``ValueError`` for a
-    non-integer id or timestamp.
+    non-integer id or timestamp; the triple constructor also raises it for
+    a row that is not a ``(u, v, t)`` triple.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int, int]]):
+        rows = list(edges)
+        ragged = next((row for row in rows if len(row) != 3), None)
+        if ragged is not None:
+            raise ValueError(f"edge rows must be (u, v, t) triples, got {ragged!r}")
         try:
             flat = np.fromiter(
-                map(operator.index, chain.from_iterable(edges)), dtype=np.int64
+                map(operator.index, chain.from_iterable(rows)),
+                dtype=np.int64,
+                count=3 * len(rows),
             )
         except TypeError as err:
             raise ValueError(f"ids and timestamps must be integer: {err}") from None

@@ -35,11 +35,14 @@ EDGE_COLUMNS = ("u", "v", "t")
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Build a distinct temporal-edge DataFrame from a pandas frame.
 
-    Raises ``ValueError`` for a missing or non-integer column, as
+    Duplicate rows are dropped on the driver, where the frame already is,
+    so the Spark plan carries no ``distinct`` shuffle. Raises ``ValueError``
+    for a missing or non-integer column, as
     :func:`repro.graph.index.edge_columns` does.
     """
     pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA).distinct()
+    pdf = pdf.drop_duplicates(ignore_index=True)
+    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
 
 
 def validate_edges(edges: DataFrame) -> DataFrame:

@@ -1,12 +1,16 @@
 """Distributed (Spark fan-out) enumeration ≡ sequential kernels."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.distributed import enumerate_mfg_distributed
-from repro.core.gfcore import gfcore_local
+from repro.core import distributed
+from repro.core.distributed import driver_edge_budget, enumerate_mfg_distributed
+from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.vfree import vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
@@ -101,16 +105,26 @@ def test_distributed_rejects_unknown_kernel(spark):
             enumerate_mfg_distributed(edges, 2, 2, 3, algorithm=algorithm)
 
 
-def _raises_before_any_job(spark, group, edges, params, match):
-    """``ValueError`` matching ``match``, with no Spark job in ``group``."""
+@contextmanager
+def job_group(spark, group):
+    """Run the block in Spark job group ``group``; the yielded list receives
+    the ids of the group's jobs when the block ends."""
     sc = spark.sparkContext
-    sc.setJobGroup(group, "input validation")
+    jobs = []
+    sc.setJobGroup(group, group)
     try:
-        with pytest.raises(ValueError, match=match):
-            enumerate_mfg_distributed(edges, *params)
+        yield jobs
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert sc.statusTracker().getJobIdsForGroup(group) == []
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    jobs.extend(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _raises_before_any_job(spark, group, edges, params, match):
+    """``ValueError`` matching ``match``, with no Spark job in ``group``."""
+    with job_group(spark, group) as jobs, pytest.raises(ValueError, match=match):
+        enumerate_mfg_distributed(edges, *params)
+    assert jobs == []
 
 
 @pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1)])
@@ -137,9 +151,166 @@ def test_distributed_rejects_fractional_column_before_spark(spark, column):
     )
 
 
+def test_edges_from_pandas_drops_duplicate_rows(spark):
+    pdf = figure2_edges()
+    edges = edges_from_pandas(spark, pd.concat([pdf, pdf.iloc[::3]]))
+    got = sorted(map(tuple, edges.toPandas().values.tolist()))
+    assert got == sorted(map(tuple, pdf.values.tolist()))
+
+
 def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
     fractional = pd.DataFrame({"u": [1.5, 2.7], "v": [3.2, 3.9], "t": [0.1, 0.9]})
     with pytest.raises(ValueError, match="integer"):
         edges_from_pandas(spark, fractional)
     with pytest.raises(ValueError, match="missing.*'t'"):
         edges_from_pandas(spark, figure2_edges().drop(columns="t"))
+
+
+# ----------------------------------------------------------------------
+# Cut-over: peel on the driver once the graph fits the edge budget
+# ----------------------------------------------------------------------
+
+#: Spark jobs of one call on a graph under the budget, with adaptive query
+#: execution off: the raw collect and the fan-out. A Spark peel adds the
+#: distinct count, one job per round and the collect of its last frame.
+UNDER_BUDGET_JOBS = 2
+
+
+@pytest.fixture()
+def fixed_plans(spark):
+    """Adaptive query execution off for the test, so that every shuffle
+    stage runs inside its query's job and jobs can be counted; and few
+    shuffle partitions, so that the Spark peel rounds run fast."""
+    conf = {
+        "spark.sql.adaptive.enabled": "false",
+        "spark.sql.shuffle.partitions": "4",
+    }
+    saved = {key: spark.conf.get(key) for key in conf}
+    for key, value in conf.items():
+        spark.conf.set(key, value)
+    yield
+    for key, value in saved.items():
+        spark.conf.set(key, value)
+
+
+@pytest.fixture()
+def local_peels(monkeypatch):
+    """``(input edges, core)`` of every ``gfcore_local`` the distributed
+    path runs."""
+    calls = []
+
+    def recording(index, *params):
+        core = gfcore_local(index, *params)
+        calls.append((len(index), core))
+        return core
+
+    monkeypatch.setattr(distributed, "gfcore_local", recording)
+    return calls
+
+
+def _force_budget(monkeypatch, budget):
+    monkeypatch.setattr(distributed, "driver_edge_budget", lambda sc: budget)
+
+
+def _random_case():
+    g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
+    return g.to_pandas(), (2, 2, 2)
+
+
+def _d14_case():
+    p = datasets.SPECS["D14"].params
+    return datasets.load("D14", sf=0.1), (p.tau_u, p.tau_v, p.lam)
+
+
+CUT_OVER_CASES = {
+    "figure2": lambda: (figure2_edges(), (2, 2, 3)),
+    "random": _random_case,
+    "D14": _d14_case,
+}
+
+
+@pytest.mark.parametrize(
+    "cap, budget",
+    [("1g", 22_369_621), ("480", 10), ("0", 2**31 - 2), ("200g", 2**31 - 2)],
+)
+def test_driver_edge_budget_follows_max_result_size(spark, cap, budget):
+    """Half the collect cap at 24 bytes per edge; no cap (``0``) or a cap
+    above what ``DataFrame.limit`` takes gives that limit's maximum."""
+    sc = SimpleNamespace(
+        getConf=lambda: {"spark.driver.maxResultSize": cap},
+        _jvm=spark.sparkContext._jvm,
+    )
+    assert driver_edge_budget(sc) == budget
+    # Unset, the cap is Spark's default of 1g.
+    assert spark.sparkContext.getConf().get("spark.driver.maxResultSize") is None
+    assert driver_edge_budget(spark.sparkContext) == 2**30 // 48
+
+
+@pytest.mark.parametrize("budget", ["low", "zero"])
+@pytest.mark.parametrize("case", sorted(CUT_OVER_CASES))
+def test_over_budget_equals_sequential_and_spark_core(
+    spark, monkeypatch, fixed_plans, local_peels, case, budget
+):
+    """``low``: one edge under the input, so Spark rounds run until the
+    graph fits and the driver finishes the peel. ``zero``: Spark peels to
+    the fixpoint, then the core is collected."""
+    pdf, params = CUT_OVER_CASES[case]()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    _force_budget(monkeypatch, len(g) - 1 if budget == "low" else 0)
+    edges = edges_from_pandas(spark, pdf)
+    with job_group(spark, f"cut-over-{case}-{budget}") as jobs:
+        got = enumerate_mfg_distributed(edges, *params)
+    expected_core = gfcore_local(g, *params)
+    assert got == vfree(expected_core, *params)
+    assert got or case == "random"
+    [(n_in, core)] = local_peels
+    spark_core = gfcore_spark(edges, *params).toPandas().values.tolist()
+    assert sorted(core.edges_iter()) == sorted(map(tuple, spark_core))
+    assert sorted(core.edges_iter()) == sorted(expected_core.edges_iter())
+    assert len(jobs) > UNDER_BUDGET_JOBS  # Spark peel rounds ran
+    if budget == "zero":
+        assert n_in == len(core)  # the Spark rounds reached the fixpoint
+    else:
+        assert len(core) <= n_in < len(g)
+
+
+def test_local_finish_peels_past_the_spark_rounds(spark, monkeypatch, local_peels):
+    """Budget one under the input: one Spark round (88 → 73 edges) fits
+    it, and ``gfcore_local`` peels the remaining rounds (73 → 68 → 67)."""
+    pdf, params = _random_case()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    _force_budget(monkeypatch, len(g) - 1)
+    got = enumerate_mfg_distributed(edges_from_pandas(spark, pdf), *params)
+    assert got == vfree(gfcore_local(g, *params), *params)
+    [(n_in, core)] = local_peels
+    assert (len(g), n_in, len(core)) == (88, 73, 67)
+
+
+@pytest.mark.parametrize("case", ["figure2", "random"])
+def test_under_budget_call_runs_two_jobs(spark, fixed_plans, local_peels, case):
+    """A graph under the budget is collected raw and peeled on the driver:
+    no Spark peel round runs."""
+    pdf, params = CUT_OVER_CASES[case]()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    edges = edges_from_pandas(spark, pdf)
+    with job_group(spark, f"under-budget-{case}") as jobs:
+        got = enumerate_mfg_distributed(edges, *params)
+    assert got == vfree(gfcore_local(g, *params), *params)
+    assert len(jobs) == UNDER_BUDGET_JOBS
+    [(n_in, _core)] = local_peels
+    assert n_in == len(g)  # the whole raw graph was peeled on the driver
+
+
+@pytest.mark.parametrize("budget", ["default", "distinct", "zero"])
+def test_duplicate_rows_do_not_change_the_groups(spark, monkeypatch, budget):
+    """A third of the rows repeated. ``distinct``: the raw rows exceed the
+    budget but the distinct edges fit it, so no Spark round runs."""
+    g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
+    triples = sorted(g.edges_iter())
+    dup = spark.createDataFrame(triples + triples[::3], "u long, v long, t long")
+    assert dup.count() > dup.distinct().count() == len(triples)
+    if budget != "default":
+        _force_budget(monkeypatch, len(triples) if budget == "distinct" else 0)
+    expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
+    assert expected
+    assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected

@@ -202,3 +202,30 @@ class TestValidation:
         assert list(ok.edges_iter()) == [(1, 3, 0)]
         with pytest.raises(ValueError, match="integer"):
             TemporalBipartiteIndex([(2, 3, 1), bad])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 2), (3, 4, 5), (6,)],  # 6 values: would realign into 2 edges
+            [(1, 10, 0), (2, 10)],
+            [(1, 10, 0, 7)],
+            [()],
+        ],
+    )
+    def test_triples_reject_rows_that_are_not_triples(self, rows):
+        with pytest.raises(ValueError, match="triples"):
+            TemporalBipartiteIndex(rows)
+
+    def test_well_formed_triples_build_the_same_index(self):
+        rows = [(3, 10, 5), (1, 11, 5), (3, 10, 5), (2, 10, 7)]
+        idx = TemporalBipartiteIndex(rows)
+        pdf = pd.DataFrame(rows, columns=["u", "v", "t"])
+        again = TemporalBipartiteIndex.from_pandas(pdf)
+        for name in ("u_ids", "v_ids", "t_ids", "u", "v", "t"):
+            np.testing.assert_array_equal(getattr(idx, name), getattr(again, name))
+        assert list(idx.edges_iter()) == [(3, 10, 5), (2, 10, 7), (1, 11, 5)]
+        # Rows from a generator, lists or numpy arrays are triples too.
+        for build in (iter(rows), [list(r) for r in rows], np.array(rows)):
+            assert list(TemporalBipartiteIndex(build).edges_iter()) == list(
+                idx.edges_iter()
+            )
