@@ -2,15 +2,12 @@
 
 Pipeline (DESIGN.md §2 "Layering note"):
 
-1. The (τ_V, τ_U, λ)-core is built on the driver as soon as the graph fits
-   the driver's edge budget (:func:`driver_edge_budget`). A graph that fits
-   from the start is collected once, raw, and peeled by ``gfcore_local``
-   with no Spark peel round. A larger graph is peeled by Spark rounds
-   (``gfcore_spark``'s round loop) only until its edge count fits the
-   budget, or to the fixpoint; then it is collected and ``gfcore_local``
-   finishes the peel. The peel fixpoint is unique (Lemma 3.1 and
-   :mod:`repro.core.gfcore`), so every split of the rounds between Spark
-   and the driver gives the same core.
+1. The (τ_V, τ_U, λ)-core. A graph whose edges fit the driver's edge
+   budget (:func:`driver_edge_budget`) is collected once, raw, and peeled
+   on the driver by ``gfcore_local``: no Spark peel round runs. A larger
+   graph is peeled by ``gfcore_spark`` to the fixpoint and its core is
+   collected. The peel fixpoint is unique (Lemma 3.1 and
+   :mod:`repro.core.gfcore`), so both give the same core.
 2. The core, a :class:`TemporalBipartiteIndex`, is broadcast to the
    executors.
 3. ``n = min(defaultParallelism, |V|)`` tasks each search one share of
@@ -29,7 +26,7 @@ from typing import Dict, FrozenSet, Set
 from pyspark import SparkContext
 from pyspark.sql import DataFrame
 
-from repro.core.gfcore import _spark_rounds, gfcore_local
+from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.params import check_params
 from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
@@ -37,42 +34,46 @@ from repro.graph.schema import validate_edges
 
 #: Bytes per edge on the driver: three int64 columns (DESIGN.md §2).
 EDGE_BYTES = 24
+#: Driver heap bytes per edge that the budget reserves: the collect and
+#: peel ran out of a 1 GiB heap between 10M and 12M edges, about 100 bytes
+#: each (DESIGN.md §2 "Driver-memory assumption").
+HEAP_BYTES_PER_EDGE = 256
 #: The largest row count ``DataFrame.limit`` takes (a JVM ``int``), less one.
 _MAX_LIMIT = 2**31 - 2
 
 
 def driver_edge_budget(sc: SparkContext) -> int:
-    """Edges the driver may collect: ``spark.driver.maxResultSize / 48``.
+    """Edges the driver may collect and peel.
 
-    Spark aborts a job whose results exceed ``spark.driver.maxResultSize``
-    (default ``1g``), and a collected edge is ``EDGE_BYTES`` = 24 bytes; the
-    budget takes half of that cap, so the frame's serialization overhead
-    never reaches it. The default cap gives 22,369,621 edges. ``0`` (no
-    cap) gives the largest budget ``DataFrame.limit`` accepts.
+    The smaller of two bounds. Spark aborts a job whose results exceed
+    ``spark.driver.maxResultSize`` (default ``1g``, ``0`` for no cap); a
+    collected edge is ``EDGE_BYTES`` = 24 bytes, and the budget takes half
+    of the cap. The driver heap, ``spark.driver.memory`` (default ``1g``),
+    is divided by ``HEAP_BYTES_PER_EDGE``. At the defaults the heap bound
+    rules: 4,194,304 edges.
     """
-    cap = sc._jvm.org.apache.spark.network.util.JavaUtils.byteStringAsBytes(
-        sc.getConf().get("spark.driver.maxResultSize", "1g")
-    )
-    return min(cap // (2 * EDGE_BYTES), _MAX_LIMIT) if cap > 0 else _MAX_LIMIT
+    conf, utils = sc.getConf(), sc._jvm.org.apache.spark.network.util.JavaUtils
+    heap = utils.byteStringAsMb(conf.get("spark.driver.memory", "1g")) << 20
+    budget = min(heap // HEAP_BYTES_PER_EDGE, _MAX_LIMIT)
+    cap = utils.byteStringAsBytes(conf.get("spark.driver.maxResultSize", "1g"))
+    return min(budget, cap // (2 * EDGE_BYTES)) if cap > 0 else budget
 
 
 def _collect_core(
     edges: DataFrame, tau_u: int, tau_v: int, lam: int, budget: int
 ) -> TemporalBipartiteIndex:
-    """The (τ_V, τ_U, λ)-core, peeled on the driver once it fits ``budget``.
+    """The (τ_V, τ_U, λ)-core as an index on the driver.
 
     One ``limit(budget + 1)`` collect is both the fit test and, when the raw
-    rows fit, the collect itself. Otherwise Spark rounds run until the
-    distinct edge count fits or the fixpoint is reached, and that frame is
-    collected. Each collected frame is dropped as soon as it is encoded.
+    rows fit, the collect that ``gfcore_local`` peels. Otherwise
+    ``gfcore_spark`` peels and its core is collected. The raw frame is
+    dropped as soon as it is encoded.
     """
     raw = edges.limit(budget + 1).toPandas()
     if len(raw) > budget:
-        raw = None  # free the probe before the Spark rounds
-        for frame, n in _spark_rounds(edges, tau_u, tau_v, lam):
-            if n <= budget:
-                break
-        raw = frame.toPandas()
+        del raw  # free the probe before the Spark peel
+        core = gfcore_spark(edges, tau_u, tau_v, lam).toPandas()
+        return TemporalBipartiteIndex.from_pandas(core)
     index = TemporalBipartiteIndex.from_pandas(raw)
     del raw
     return gfcore_local(index, tau_u, tau_v, lam)

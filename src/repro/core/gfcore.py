@@ -16,21 +16,14 @@ Lemma 3.1 every MFG vertex survives, so pruning first never loses results.
 Two implementations of the same synchronous rounds:
 
 - :func:`gfcore_local` — in-memory peel over the index's edge codes, on
-  the driver;
+  the driver (the sequential runner, and the distributed path for graphs
+  within its driver edge budget);
 - :func:`gfcore_spark` — the same peel as an iterative Spark dataflow
   (one pass per round: window m-degree and snapshot counts → filter the
-  violators → repeat until the edge count is stable), for graphs that do
-  not fit on the driver.
-
-Because the fixpoint is unique, the two can also be chained: the
-distributed path (:mod:`repro.core.distributed`) runs Spark rounds only
-until the graph fits its driver budget, then finishes with
-:func:`gfcore_local`. Both Spark callers share one round loop,
-:func:`_spark_rounds`.
+  violators → repeat until the edge count is stable), for graphs over that
+  budget (:mod:`repro.core.distributed`).
 """
 from __future__ import annotations
-
-from typing import Iterator, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -78,28 +71,25 @@ def gfcore_local(
         alive &= ~bad
 
 
-#: Spark peel rounds after which :func:`_spark_rounds` gives up.
-MAX_ROUNDS = 200
+def gfcore_spark(
+    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = 200
+) -> DataFrame:
+    """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
 
-
-def _spark_rounds(
-    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = MAX_ROUNDS
-) -> Iterator[Tuple[DataFrame, int]]:
-    """Yield ``(frame, edge count)`` of the distinct edges, then of every
-    Spark peel round, until the fixpoint.
-
-    A round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
+    Each round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
     (``size(collect_set(t))``: Spark has no windowed ``COUNT(DISTINCT)``)
     as window aggregates in one projection, and drops every violating edge
-    at once, as :func:`gfcore_local` does. Each frame is a lazy
-    ``localCheckpoint`` that its ``count()`` materializes, so a round is one
-    Spark job and the plan does not grow with the round count. A caller may
-    stop early; the last frame yielded is the fixpoint. Raises
-    ``RuntimeError`` when ``max_iter`` rounds end without a fixpoint.
+    at once, as :func:`gfcore_local` does; rounds repeat until the edge
+    count is stable (the peel fixpoint). Each round's frame is a lazy
+    ``localCheckpoint`` that the round's ``count()`` materializes, so a
+    round is one Spark job and the plan does not grow with the iteration
+    count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
+    fixpoint, and ``ValueError`` before any Spark job for a non-positive
+    parameter.
     """
+    check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev, rounds = e.count(), None, 0
-    yield e, n
     while n not in (0, n_prev):
         if rounds == max_iter:
             raise RuntimeError(
@@ -124,20 +114,4 @@ def _spark_rounds(
             .localCheckpoint(eager=False)
         )
         n_prev, n = n, e.count()
-        yield e, n
-
-
-def gfcore_spark(
-    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = MAX_ROUNDS
-) -> DataFrame:
-    """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
-
-    Runs :func:`_spark_rounds` to the fixpoint (the edge count is stable)
-    and returns the core's ``u, v, t`` frame. Raises ``RuntimeError`` when
-    ``max_iter`` rounds end without a fixpoint, and ``ValueError`` before
-    any Spark job for a non-positive parameter.
-    """
-    check_params(tau_u, tau_v, lam)
-    for core, _ in _spark_rounds(edges, tau_u, tau_v, lam, max_iter):
-        pass
-    return core
+    return e

@@ -172,7 +172,7 @@ def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
 
 #: Spark jobs of one call on a graph under the budget, with adaptive query
 #: execution off: the raw collect and the fan-out. A Spark peel adds the
-#: distinct count, one job per round and the collect of its last frame.
+#: distinct count, one job per round and the collect of the core.
 UNDER_BUDGET_JOBS = 2
 
 
@@ -195,14 +195,12 @@ def fixed_plans(spark):
 
 @pytest.fixture()
 def local_peels(monkeypatch):
-    """``(input edges, core)`` of every ``gfcore_local`` the distributed
-    path runs."""
+    """Input edge count of every ``gfcore_local`` the distributed path runs."""
     calls = []
 
     def recording(index, *params):
-        core = gfcore_local(index, *params)
-        calls.append((len(index), core))
-        return core
+        calls.append(len(index))
+        return gfcore_local(index, *params)
 
     monkeypatch.setattr(distributed, "gfcore_local", recording)
     return calls
@@ -230,60 +228,62 @@ CUT_OVER_CASES = {
 
 
 @pytest.mark.parametrize(
-    "cap, budget",
-    [("1g", 22_369_621), ("480", 10), ("0", 2**31 - 2), ("200g", 2**31 - 2)],
+    "memory, cap, budget",
+    [
+        (None, None, 4_194_304),  # Spark's defaults: 1g heap, 1g cap
+        ("1g", "0", 4_194_304),  # no collect cap: the heap still bounds it
+        ("8g", "1g", 22_369_621),  # half the cap at 24 bytes per edge
+        ("8g", "480", 10),
+        ("2048", "0", 8_388_608),  # a unitless driver memory is in MiB
+        ("1t", "0", 2**31 - 2),  # the most rows DataFrame.limit takes
+    ],
 )
-def test_driver_edge_budget_follows_max_result_size(spark, cap, budget):
-    """Half the collect cap at 24 bytes per edge; no cap (``0``) or a cap
-    above what ``DataFrame.limit`` takes gives that limit's maximum."""
+def test_driver_edge_budget(spark, memory, cap, budget):
+    """The heap at 256 bytes per edge, or half the collect cap at 24 bytes
+    per edge, whichever is smaller; always finite."""
+    conf = {"spark.driver.memory": memory, "spark.driver.maxResultSize": cap}
     sc = SimpleNamespace(
-        getConf=lambda: {"spark.driver.maxResultSize": cap},
+        getConf=lambda: {k: v for k, v in conf.items() if v is not None},
         _jvm=spark.sparkContext._jvm,
     )
     assert driver_edge_budget(sc) == budget
-    # Unset, the cap is Spark's default of 1g.
-    assert spark.sparkContext.getConf().get("spark.driver.maxResultSize") is None
-    assert driver_edge_budget(spark.sparkContext) == 2**30 // 48
 
 
-@pytest.mark.parametrize("budget", ["low", "zero"])
+@pytest.mark.parametrize("budget", ["fits", "one under", "zero"])
 @pytest.mark.parametrize("case", sorted(CUT_OVER_CASES))
-def test_over_budget_equals_sequential_and_spark_core(
-    spark, monkeypatch, fixed_plans, local_peels, case, budget
+def test_collected_core_equals_local_and_spark_core(
+    spark, fixed_plans, local_peels, case, budget
 ):
-    """``low``: one edge under the input, so Spark rounds run until the
-    graph fits and the driver finishes the peel. ``zero``: Spark peels to
-    the fixpoint, then the core is collected."""
+    """``fits``: the raw graph is peeled on the driver. ``one under`` and
+    ``zero``: ``gfcore_spark`` peels and its core is collected."""
     pdf, params = CUT_OVER_CASES[case]()
     g = TemporalBipartiteIndex.from_pandas(pdf)
-    _force_budget(monkeypatch, len(g) - 1 if budget == "low" else 0)
     edges = edges_from_pandas(spark, pdf)
-    with job_group(spark, f"cut-over-{case}-{budget}") as jobs:
-        got = enumerate_mfg_distributed(edges, *params)
-    expected_core = gfcore_local(g, *params)
-    assert got == vfree(expected_core, *params)
-    assert got or case == "random"
-    [(n_in, core)] = local_peels
+    n = {"fits": len(g), "one under": len(g) - 1, "zero": 0}[budget]
+    core = distributed._collect_core(edges, *params, n)
+    expected = sorted(gfcore_local(g, *params).edges_iter())
+    assert expected or case == "random"
+    assert sorted(core.edges_iter()) == expected
     spark_core = gfcore_spark(edges, *params).toPandas().values.tolist()
-    assert sorted(core.edges_iter()) == sorted(map(tuple, spark_core))
-    assert sorted(core.edges_iter()) == sorted(expected_core.edges_iter())
-    assert len(jobs) > UNDER_BUDGET_JOBS  # Spark peel rounds ran
-    if budget == "zero":
-        assert n_in == len(core)  # the Spark rounds reached the fixpoint
-    else:
-        assert len(core) <= n_in < len(g)
+    assert sorted(map(tuple, spark_core)) == expected
+    assert local_peels == ([len(g)] if budget == "fits" else [])
 
 
-def test_local_finish_peels_past_the_spark_rounds(spark, monkeypatch, local_peels):
-    """Budget one under the input: one Spark round (88 → 73 edges) fits
-    it, and ``gfcore_local`` peels the remaining rounds (73 → 68 → 67)."""
-    pdf, params = _random_case()
+@pytest.mark.parametrize("case", sorted(CUT_OVER_CASES))
+def test_over_budget_call_equals_sequential(
+    spark, monkeypatch, fixed_plans, local_peels, case
+):
+    """Budget one under the input: Spark peels, the driver does not."""
+    pdf, params = CUT_OVER_CASES[case]()
     g = TemporalBipartiteIndex.from_pandas(pdf)
     _force_budget(monkeypatch, len(g) - 1)
-    got = enumerate_mfg_distributed(edges_from_pandas(spark, pdf), *params)
+    edges = edges_from_pandas(spark, pdf)
+    with job_group(spark, f"over-budget-{case}") as jobs:
+        got = enumerate_mfg_distributed(edges, *params)
     assert got == vfree(gfcore_local(g, *params), *params)
-    [(n_in, core)] = local_peels
-    assert (len(g), n_in, len(core)) == (88, 73, 67)
+    assert got or case == "random"
+    assert local_peels == []
+    assert len(jobs) > UNDER_BUDGET_JOBS  # Spark peel rounds ran
 
 
 @pytest.mark.parametrize("case", ["figure2", "random"])
@@ -297,20 +297,24 @@ def test_under_budget_call_runs_two_jobs(spark, fixed_plans, local_peels, case):
         got = enumerate_mfg_distributed(edges, *params)
     assert got == vfree(gfcore_local(g, *params), *params)
     assert len(jobs) == UNDER_BUDGET_JOBS
-    [(n_in, _core)] = local_peels
-    assert n_in == len(g)  # the whole raw graph was peeled on the driver
+    assert local_peels == [len(g)]  # the whole raw graph, on the driver
 
 
-@pytest.mark.parametrize("budget", ["default", "distinct", "zero"])
+@pytest.mark.parametrize("budget", ["default", "zero"])
 def test_duplicate_rows_do_not_change_the_groups(spark, monkeypatch, budget):
-    """A third of the rows repeated. ``distinct``: the raw rows exceed the
-    budget but the distinct edges fit it, so no Spark round runs."""
+    """A third of the rows repeated, peeled on the driver (``default``) or
+    by Spark (``zero``)."""
     g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
     triples = sorted(g.edges_iter())
     dup = spark.createDataFrame(triples + triples[::3], "u long, v long, t long")
     assert dup.count() > dup.distinct().count() == len(triples)
-    if budget != "default":
-        _force_budget(monkeypatch, len(triples) if budget == "distinct" else 0)
+    if budget == "zero":
+        _force_budget(monkeypatch, 0)
     expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
     assert expected
     assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected
+
+
+def test_empty_input_gives_no_groups(spark):
+    empty = spark.createDataFrame([], "u long, v long, t long")
+    assert enumerate_mfg_distributed(empty, 2, 2, 2) == {}
