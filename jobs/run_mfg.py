@@ -6,18 +6,14 @@ Usage:
     spark-submit jobs/run_mfg.py --dataset D2 --sf 0.3 --distributed
 
 Prints one line per MFG: the member vertex ids and the support timestamps.
-Only ``--distributed`` starts a Spark session; the driver kernels run
-without one.
+Only ``--distributed`` loads pyspark and starts a Spark session; the
+driver kernels run without either.
 """
 import argparse
 
-from pyspark.sql import SparkSession
-
 from repro.core import runner
-from repro.core.distributed import enumerate_mfg_distributed
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
-from repro.graph.schema import edges_from_pandas
 
 
 def main() -> None:
@@ -38,6 +34,11 @@ def main() -> None:
     pdf = datasets.load(args.dataset, sf=args.sf)
     p = spec.params
     if args.distributed:
+        from pyspark.sql import SparkSession
+
+        from repro.core.distributed import enumerate_mfg_distributed
+        from repro.graph.schema import edges_from_pandas
+
         spark = (
             SparkSession.builder.appName("repro-run-mfg")
             .config("spark.ui.showConsoleProgress", "false")

@@ -10,6 +10,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Set
 
 from repro.core.freq import support_timestamps
+from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
 
@@ -22,8 +23,10 @@ def enumerate_mfg_bruteforce(
 ) -> Dict[FrozenSet[int], Set[int]]:
     """All MFGs mapped to their support-timestamp sets.
 
-    Raises ``ValueError`` when |V| exceeds ``max_v`` (the search is 2^|V|).
+    Raises ``ValueError`` for a non-positive parameter, as every kernel
+    does, and when |V| exceeds ``max_v`` (the search is 2^|V|).
     """
+    check_params(tau_u, tau_v, lam)
     vees: List[int] = sorted(index.n_v)
     if len(vees) > max_v:
         raise ValueError(

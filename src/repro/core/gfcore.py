@@ -25,13 +25,15 @@ Two implementations of the same synchronous rounds:
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 def gfcore_local(
@@ -87,6 +89,9 @@ def gfcore_spark(
     fixpoint, and ``ValueError`` before any Spark job for a non-positive
     parameter.
     """
+    from pyspark.sql import functions as F
+    from pyspark.sql.window import Window
+
     check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev, rounds = e.count(), None, 0

@@ -1,19 +1,18 @@
-"""Table 2 — dataset statistics, computed as a Spark dataflow.
+"""Table 2 — dataset statistics, read from the driver index.
 
-For every dataset analogue the harness reports |U|, |V|, |E| (temporal),
-|T| and the default parameters, next to the paper's values for the real
-dataset (the analogues are ~1/1000-scale; DESIGN.md §4).
+For every dataset analogue the harness reports |U|, |V|, |E| (distinct
+temporal edges), |T| and the default parameters, next to the paper's values
+for the real dataset (the analogues are ~1/1000-scale; DESIGN.md §4). Each
+count is an array length of the analogue's
+:class:`~repro.graph.index.TemporalBipartiteIndex`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
 
-from pyspark.sql import SparkSession
-
 from repro.experiments import datasets
-from repro.graph.schema import edges_from_pandas
-from repro.graph.stats import graph_stats
+from repro.graph.index import TemporalBipartiteIndex
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,20 @@ class Table2Row:
 
 
 def run_table2(
-    spark: SparkSession, sf: float = 1.0, names: tuple = datasets.DATASET_NAMES
+    sf: float = 1.0, names: tuple = datasets.DATASET_NAMES
 ) -> List[Table2Row]:
-    """Generate every analogue and compute its statistics with Spark."""
+    """Generate every analogue and read its statistics from its index."""
     rows: List[Table2Row] = []
     for name in names:
         spec = datasets.SPECS[name]
-        stats = graph_stats(edges_from_pandas(spark, datasets.load(name, sf=sf)))
+        index = TemporalBipartiteIndex.from_pandas(datasets.load(name, sf=sf))
         rows.append(
             Table2Row(
                 name=spec.name,
-                n_u=stats.n_u,
-                n_v=stats.n_v,
-                n_edges=stats.n_edges,
-                n_timestamps=stats.n_timestamps,
+                n_u=len(index.u_ids),
+                n_v=len(index.v_ids),
+                n_edges=len(index),
+                n_timestamps=len(index.t_ids),
                 paper_u=spec.paper_u,
                 paper_v=spec.paper_v,
                 paper_e=spec.paper_e,

@@ -1,15 +1,9 @@
 """Temporal bipartite graph substrate.
 
-Spark-side: edge DataFrames with schema ``(u long, v long, t long)`` and
-dataflow statistics (``repro.graph.stats``). Driver-side: the compact
-adjacency :class:`repro.graph.index.TemporalBipartiteIndex` used by the
-search kernels.
+Driver-side: the compact adjacency
+:class:`repro.graph.index.TemporalBipartiteIndex`, which the search kernels
+and the experiment harnesses read. Spark-side, for the distributed path
+only: edge DataFrames with schema ``(u long, v long, t long)``
+(``repro.graph.schema``) and the degree-order dataflow
+(``repro.graph.stats``). Importing this package loads no pyspark.
 """
-from repro.graph.index import TemporalBipartiteIndex
-from repro.graph.schema import EDGE_SCHEMA, validate_edges
-
-__all__ = [
-    "EDGE_SCHEMA",
-    "TemporalBipartiteIndex",
-    "validate_edges",
-]

@@ -22,12 +22,15 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 import numpy as np
 import pandas as pd
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
     """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
 
     Raises ``ValueError`` for a missing or non-integer column, so that no
-    fractional id or timestamp is silently truncated.
+    fractional id or timestamp is silently truncated, and for an unsigned
+    value above the int64 maximum, so that none silently wraps.
     """
     missing = [c for c in "uvt" if c not in pdf.columns]
     if missing:
@@ -39,6 +42,11 @@ def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
     }
     if bad:
         raise ValueError(f"edge columns must be integer, got {bad}")
+    wide = [
+        c for c in "uvt" if pdf[c].dtype.kind == "u" and (pdf[c] > _INT64_MAX).any()
+    ]
+    if wide:
+        raise ValueError(f"edge columns {wide} hold values above the int64 maximum")
     return [pdf[c].to_numpy(dtype=np.int64) for c in "uvt"]
 
 
@@ -48,9 +56,9 @@ class TemporalBipartiteIndex:
     ``u_ids`` / ``v_ids`` / ``t_ids`` are the sorted distinct ids of U, V
     and T; ``u`` / ``v`` / ``t`` the per-edge codes into them, sorted by
     ``(v, t, u)``. Both constructors deduplicate with one ``np.unique``
-    over a packed ``(v, t, u)`` key, and raise ``ValueError`` for a
-    non-integer id or timestamp; the triple constructor also raises it for
-    a row that is not a ``(u, v, t)`` triple.
+    over a packed ``(v, t, u)`` key, and raise ``ValueError`` for an id or
+    timestamp that is not an integer or does not fit in int64; the triple
+    constructor also raises it for a row that is not a ``(u, v, t)`` triple.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int, int]]):
@@ -66,6 +74,8 @@ class TemporalBipartiteIndex:
             )
         except TypeError as err:
             raise ValueError(f"ids and timestamps must be integer: {err}") from None
+        except OverflowError as err:
+            raise ValueError(f"ids and timestamps must fit in int64: {err}") from None
         self._encode(flat[0::3], flat[1::3], flat[2::3])
 
     def _encode(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:

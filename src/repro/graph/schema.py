@@ -37,7 +37,7 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
 
     Duplicate rows are dropped on the driver, where the frame already is,
     so the Spark plan carries no ``distinct`` shuffle. Raises ``ValueError``
-    for a missing or non-integer column, as
+    for a missing or non-integer column, or a value outside int64, as
     :func:`repro.graph.index.edge_columns` does.
     """
     pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
@@ -64,13 +64,3 @@ def validate_edges(edges: DataFrame) -> DataFrame:
     if bad:
         raise ValueError(f"edge columns must be integer, got {bad}")
     return edges.select(*(F.col(c).cast(LongType()).alias(c) for c in EDGE_COLUMNS))
-
-
-def static_edges(edges: DataFrame) -> DataFrame:
-    """Project the static bipartite graph ``G`` (drop timestamps, dedupe)."""
-    return edges.select("u", "v").distinct()
-
-
-def snapshot(edges: DataFrame, t: int) -> DataFrame:
-    """Edges of snapshot ``G_t``."""
-    return edges.filter(F.col("t") == int(t)).select("u", "v").distinct()

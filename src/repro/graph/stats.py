@@ -1,26 +1,15 @@
-"""Graph statistics as Spark dataflows.
+"""VFree's degree order as a Spark dataflow.
 
-Every function here is a pure DataFrame→DataFrame transformation so it can be
-checked against DuckDB SQL with ``repro.oracle.assert_equivalent``. These are
-the building blocks of Table 2 (dataset statistics) and of the filtering
-rules (``T(v)`` from Lemma 3.2, m-degrees from Definition 2.2).
+The driver kernels read the index (``TemporalBipartiteIndex.degree_rank``);
+these pure DataFrame→DataFrame transformations compute the same order on an
+edge DataFrame, for the traced Spark run of the benchmark. ``s_degree_v`` is
+checked against DuckDB SQL with ``repro.oracle.assert_equivalent``, and
+``degree_order_v`` against the index's ranks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-def s_degree_u(edges: DataFrame) -> DataFrame:
-    """``d(u, G)`` for every u — columns ``(u, d)``."""
-    return (
-        edges.select("u", "v")
-        .distinct()
-        .groupBy("u")
-        .agg(F.count("*").alias("d"))
-    )
 
 
 def s_degree_v(edges: DataFrame) -> DataFrame:
@@ -30,59 +19,6 @@ def s_degree_v(edges: DataFrame) -> DataFrame:
         .distinct()
         .groupBy("v")
         .agg(F.count("*").alias("d"))
-    )
-
-
-def m_degree_u(edges: DataFrame) -> DataFrame:
-    """``δ(u, t)`` for every (u, t) with at least one edge — ``(u, t, d)``."""
-    return edges.groupBy("u", "t").agg(F.countDistinct("v").alias("d"))
-
-
-def m_degree_v(edges: DataFrame) -> DataFrame:
-    """``δ(v, t)`` for every (v, t) with at least one edge — ``(v, t, d)``."""
-    return edges.groupBy("v", "t").agg(F.countDistinct("u").alias("d"))
-
-
-def t_of_v(edges: DataFrame, tau_u: int) -> DataFrame:
-    """``T(v) = {t : δ(v,t) ≥ τ_U}`` (Lemma 3.2) — columns ``(v, t)``."""
-    return (
-        m_degree_v(edges)
-        .filter(F.col("d") >= int(tau_u))
-        .select("v", "t")
-    )
-
-
-def v_frequency(edges: DataFrame, tau_u: int) -> DataFrame:
-    """``|T(v)|`` per v — an upper bound on any group frequency containing v."""
-    return t_of_v(edges, tau_u).groupBy("v").agg(F.count("*").alias("freq"))
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Table-2 style statistics of one temporal bipartite graph."""
-
-    n_u: int
-    n_v: int
-    n_edges: int
-    n_static_edges: int
-    n_timestamps: int
-
-
-def graph_stats(edges: DataFrame) -> GraphStats:
-    """Compute |U|, |V|, |E| (temporal), |E| (static), |T| in one pass."""
-    row = edges.agg(
-        F.countDistinct("u").alias("n_u"),
-        F.countDistinct("v").alias("n_v"),
-        F.countDistinct("u", "v", "t").alias("n_edges"),
-        F.countDistinct("u", "v").alias("n_static_edges"),
-        F.countDistinct("t").alias("n_timestamps"),
-    ).collect()[0]
-    return GraphStats(
-        n_u=row["n_u"],
-        n_v=row["n_v"],
-        n_edges=row["n_edges"],
-        n_static_edges=row["n_static_edges"],
-        n_timestamps=row["n_timestamps"],
     )
 
 

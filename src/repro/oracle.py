@@ -1,9 +1,9 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(result, sql, **tables)`` runs ``sql`` in DuckDB
+over ``tables`` and asserts the sorted rows match ``result`` (a Spark or
+pandas DataFrame). This catches wrong results from a rewritten plan, a
+custom operator or a driver-side view — "it ran" is not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -25,7 +25,7 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(result: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -33,7 +33,7 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = result.toPandas() if isinstance(result, DataFrame) else result
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

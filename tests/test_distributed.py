@@ -4,6 +4,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -164,6 +165,13 @@ def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
         edges_from_pandas(spark, fractional)
     with pytest.raises(ValueError, match="missing.*'t'"):
         edges_from_pandas(spark, figure2_edges().drop(columns="t"))
+
+
+def test_edges_from_pandas_rejects_unsigned_values_above_int64(spark):
+    wide = figure2_edges().astype("uint64")
+    wide.loc[0, "v"] = np.uint64(2**64 - 1)
+    with pytest.raises(ValueError, match="'v'.*int64"):
+        edges_from_pandas(spark, wide)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 qualitative claims."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import datasets
@@ -24,6 +26,8 @@ from repro.experiments.table3 import (
 from repro.graph.index import TemporalBipartiteIndex
 from repro.models.mfb import mfb
 from tests.conftest import frame_sha256
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTable1:
@@ -60,8 +64,8 @@ class TestTable1:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def rows(self, spark):
-        return run_table2(spark, sf=0.02)
+    def rows(self):
+        return run_table2(sf=0.02)
 
     def test_all_15_datasets(self, rows):
         assert len(rows) == 15
@@ -89,6 +93,11 @@ class TestTable2:
     def test_format(self, rows):
         text = format_table2(rows)
         assert "D15 (de)" in text and "paper |E|" in text
+
+    def test_sf1_matches_committed_results(self):
+        """``python jobs/table2.py > results/table2.txt`` is reproducible."""
+        committed = (ROOT / "results" / "table2.txt").read_text()
+        assert format_table2(run_table2(sf=1.0)) + "\n" == committed
 
 
 class TestTable3:

@@ -171,7 +171,8 @@ class TestViewsMatchReference:
 
 
 class TestValidation:
-    """Ids and timestamps must be integers: nothing is silently truncated."""
+    """Ids and timestamps must be integers within int64: nothing is silently
+    truncated or wrapped."""
 
     FRACTIONAL = {"u": [1.5, 2.7], "v": [3.2, 3.9], "t": [0.1, 0.9]}
 
@@ -202,6 +203,34 @@ class TestValidation:
         assert list(ok.edges_iter()) == [(1, 3, 0)]
         with pytest.raises(ValueError, match="integer"):
             TemporalBipartiteIndex([(2, 3, 1), bad])
+
+    @pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+    @pytest.mark.parametrize("column", ["u", "v", "t"])
+    def test_from_pandas_rejects_unsigned_values_above_int64(self, column, value):
+        pdf = pd.DataFrame({"u": [1, 2], "v": [3, 4], "t": [0, 1]}, dtype="uint64")
+        pdf[column] = np.array([value, 5], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"'{column}'.*int64"):
+            TemporalBipartiteIndex.from_pandas(pdf)
+
+    def test_from_pandas_keeps_the_largest_unsigned_int64_value(self):
+        top = 2**63 - 1
+        pdf = pd.DataFrame({"u": [1, 2], "v": [top, 5], "t": [0, 0]}, dtype="uint64")
+        index = TemporalBipartiteIndex.from_pandas(pdf)
+        assert index.v_ids.tolist() == [5, top]
+        assert sorted(index.edges_iter()) == [(1, top, 0), (2, 5, 0)]
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**64 - 1])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_triples_reject_values_outside_int64(self, position, value):
+        bad = [1, 3, 0]
+        bad[position] = value
+        with pytest.raises(ValueError, match="int64"):
+            TemporalBipartiteIndex([(2, 3, 1), tuple(bad)])
+
+    def test_triples_keep_the_int64_extremes(self):
+        lo, hi = -(2**63), 2**63 - 1
+        index = TemporalBipartiteIndex([(lo, hi, lo), (hi, lo, hi)])
+        assert sorted(index.edges_iter()) == [(lo, hi, lo), (hi, lo, hi)]
 
     @pytest.mark.parametrize(
         "rows",

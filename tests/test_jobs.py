@@ -1,5 +1,5 @@
 """Command-line checks of the driver-side ``jobs/`` scripts; none of them
-starts a Spark session."""
+starts a Spark session, and the driver path loads no pyspark."""
 from __future__ import annotations
 
 import importlib.util
@@ -16,12 +16,12 @@ from repro.experiments.table1 import Table1Row
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_mfg(*args: str) -> subprocess.CompletedProcess:
-    """Run ``jobs/run_mfg.py``; assert it started no Spark session (one
+def _run_job(name: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``jobs/<name>.py``; assert it started no Spark session (one
     would log "Using Spark's default log4j profile" to stderr)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "jobs" / "run_mfg.py"), *args],
+        [sys.executable, str(ROOT / "jobs" / f"{name}.py"), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert "Spark" not in proc.stderr
@@ -36,15 +36,40 @@ def _run_mfg(*args: str) -> subprocess.CompletedProcess:
     ],
 )
 def test_run_mfg_rejects_bad_arguments(args, message):
-    proc = _run_mfg(*args)
+    proc = _run_job("run_mfg", *args)
     assert proc.returncode == 2
     assert message in proc.stderr
 
 
 def test_run_mfg_driver_path_starts_no_spark():
-    proc = _run_mfg("--dataset", "D2", "--sf", "0.05")
+    proc = _run_job("run_mfg", "--dataset", "D2", "--sf", "0.05")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# D2")
+
+
+def test_table2_job_starts_no_spark():
+    proc = _run_job("table2", "--sf", "0.02")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Dataset")
+    assert len(proc.stdout.splitlines()) == 16
+
+
+def test_driver_path_imports_no_pyspark():
+    """The driver kernels, models and harnesses load no pyspark module."""
+    code = (
+        "import sys\n"
+        "import repro.core.runner, repro.models.mfb, repro.models.msg\n"
+        "import repro.experiments.table1, repro.experiments.table2\n"
+        "import repro.experiments.table3, repro.experiments.exp1\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _load_job(name: str):

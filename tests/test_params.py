@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bk_alg import bk_alg
+from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.filterv import filterv
 from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.params import Params, check_params
@@ -16,6 +17,7 @@ KERNELS = {
     "filterv": filterv,
     "bk_alg": bk_alg,
     "gfcore_local": gfcore_local,
+    "bruteforce": enumerate_mfg_bruteforce,
 }
 
 

@@ -1,70 +1,110 @@
-"""Spark dataflow statistics checked against DuckDB via the oracle.
+"""Graph statistics checked against DuckDB via the oracle.
 
-Every DataFrame computation in ``repro.graph.stats`` is re-expressed as
-DuckDB SQL over the same edge table and the sorted rows must match.
+The driver index's views (the m- and s-neighbourhoods, ``T(v)``, the
+snapshots and the Table-2 counts) and the Spark degree dataflows of
+``repro.graph.stats`` are each re-expressed as DuckDB SQL over the same
+edge table, and the sorted rows must match.
 """
 from __future__ import annotations
 
+import duckdb
+import pandas as pd
 import pytest
 
 from repro.experiments import datasets
+from repro.experiments.table2 import run_table2
 from repro.graph import stats
-from repro.graph.schema import edges_from_pandas, snapshot, static_edges
+from repro.graph.index import TemporalBipartiteIndex
+from repro.graph.schema import edges_from_pandas
 from repro.oracle import assert_equivalent
 from repro.synth_data import figure2_edges
 
 
 @pytest.fixture(scope="module")
-def edge_frames(spark):
-    """(name, pandas, spark) triples used across the oracle tests."""
-    out = []
-    for name, pdf in [
-        ("fig2", figure2_edges()),
-        ("d2", datasets.load("D2", sf=0.05)),
-        ("d5", datasets.load("D5", sf=0.05)),
-    ]:
-        out.append((name, pdf, edges_from_pandas(spark, pdf)))
-    return out
+def edge_frames():
+    """(name, pandas, index) triples used across the oracle tests."""
+    return [
+        (name, pdf, TemporalBipartiteIndex.from_pandas(pdf))
+        for name, pdf in [
+            ("fig2", figure2_edges()),
+            ("d2", datasets.load("D2", sf=0.05)),
+            ("d5", datasets.load("D5", sf=0.05)),
+        ]
+    ]
+
+
+def _m_neighbors(index: TemporalBipartiteIndex) -> pd.DataFrame:
+    """Every ``(u, v, t)`` of the index, read through its ``gamma_v`` view."""
+    return pd.DataFrame(
+        (
+            (u, v, t)
+            for v, per_t in index.gamma_v.items()
+            for t, us in per_t.items()
+            for u in us
+        ),
+        columns=["u", "v", "t"],
+    )
+
+
+def _s_neighbors(index: TemporalBipartiteIndex) -> pd.DataFrame:
+    """Every static edge ``(u, v)``, read through the ``n_v`` view."""
+    return pd.DataFrame(
+        ((u, v) for v, us in index.n_v.items() for u in us), columns=["u", "v"]
+    )
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["fig2", "d2", "d5"])
 class TestDegreesAgainstDuckDB:
     def test_s_degree_u(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """``d(u)`` counted over the index's ``n_v`` view."""
+        _, pdf, index = edge_frames[which]
         assert_equivalent(
-            stats.s_degree_u(sdf),
+            _s_neighbors(index).groupby("u").size().reset_index(name="d"),
             "SELECT u, COUNT(DISTINCT v) AS d FROM edges GROUP BY u",
             edges=pdf,
         )
 
-    def test_s_degree_v(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+    def test_s_degree_v(self, spark, edge_frames, which):
+        _, pdf, _ = edge_frames[which]
         assert_equivalent(
-            stats.s_degree_v(sdf),
+            stats.s_degree_v(edges_from_pandas(spark, pdf)),
             "SELECT v, COUNT(DISTINCT u) AS d FROM edges GROUP BY v",
             edges=pdf,
         )
 
     def test_m_degree_u(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """``δ(u, t)`` counted over the index's ``gamma_v`` view."""
+        _, pdf, index = edge_frames[which]
         assert_equivalent(
-            stats.m_degree_u(sdf),
+            _m_neighbors(index).groupby(["u", "t"]).size().reset_index(name="d"),
             "SELECT u, t, COUNT(DISTINCT v) AS d FROM edges GROUP BY u, t",
             edges=pdf,
         )
 
     def test_m_degree_v(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """``δ(v, t) = |Γ(v, t)|`` from the index's ``gamma_v`` view."""
+        _, pdf, index = edge_frames[which]
         assert_equivalent(
-            stats.m_degree_v(sdf),
+            pd.DataFrame(
+                (
+                    (v, t, len(us))
+                    for v, per_t in index.gamma_v.items()
+                    for t, us in per_t.items()
+                ),
+                columns=["v", "t", "d"],
+            ),
             "SELECT v, t, COUNT(DISTINCT u) AS d FROM edges GROUP BY v, t",
             edges=pdf,
         )
 
     def test_t_of_v(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """``T(v)`` (Lemma 3.2) as FilterV reads it, ``index.t_of_v``."""
+        _, pdf, index = edge_frames[which]
         assert_equivalent(
-            stats.t_of_v(sdf, 2),
+            pd.DataFrame(
+                ((v, t) for v in index.v_vertices for t in index.t_of_v(v, 2)),
+                columns=["v", "t"],
+            ),
             """
             SELECT v, t FROM (
               SELECT v, t, COUNT(DISTINCT u) AS d FROM edges GROUP BY v, t
@@ -74,9 +114,11 @@ class TestDegreesAgainstDuckDB:
         )
 
     def test_v_frequency(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """``|T(v)|``, the bound on any group frequency containing v."""
+        _, pdf, index = edge_frames[which]
+        freq = ((v, len(index.t_of_v(v, 2))) for v in index.v_vertices)
         assert_equivalent(
-            stats.v_frequency(sdf, 2),
+            pd.DataFrame(((v, f) for v, f in freq if f), columns=["v", "freq"]),
             """
             SELECT v, COUNT(*) AS freq FROM (
               SELECT v, t, COUNT(DISTINCT u) AS d FROM edges GROUP BY v, t
@@ -86,41 +128,50 @@ class TestDegreesAgainstDuckDB:
         )
 
     def test_static_edges(self, edge_frames, which):
-        _, pdf, sdf = edge_frames[which]
+        """The static graph ``G`` as the index's ``n_v`` view."""
+        _, pdf, index = edge_frames[which]
         assert_equivalent(
-            static_edges(sdf),
+            _s_neighbors(index),
             "SELECT DISTINCT u, v FROM edges",
             edges=pdf,
         )
 
 
-def test_graph_stats_against_duckdb(spark):
-    import duckdb
-
-    pdf = figure2_edges()
-    sdf = edges_from_pandas(spark, pdf)
-    got = stats.graph_stats(sdf)
+def _duckdb_counts(pdf: pd.DataFrame) -> tuple:
+    """|U|, |V|, |E| (distinct temporal edges) and |T| of an edge frame."""
     con = duckdb.connect()
-    con.register("edges", pdf)
-    row = con.execute(
-        """
-        SELECT COUNT(DISTINCT u), COUNT(DISTINCT v),
-               COUNT(DISTINCT (u, v, t)), COUNT(DISTINCT (u, v)),
-               COUNT(DISTINCT t)
-        FROM edges
-        """
-    ).fetchone()
-    con.close()
-    assert (got.n_u, got.n_v, got.n_edges, got.n_static_edges,
-            got.n_timestamps) == row
-    assert (got.n_u, got.n_v, got.n_timestamps) == (5, 5, 6)
+    try:
+        con.register("edges", pdf)
+        return con.execute(
+            """
+            SELECT COUNT(DISTINCT u), COUNT(DISTINCT v),
+                   COUNT(DISTINCT (u, v, t)), COUNT(DISTINCT t)
+            FROM edges
+            """
+        ).fetchone()
+    finally:
+        con.close()
 
 
-def test_snapshot_projection(spark):
+def test_graph_stats_against_duckdb():
+    """Table 2's index-derived counts on every analogue, and Figure 2's."""
+    for name, row in zip(datasets.DATASET_NAMES, run_table2(sf=0.02)):
+        assert (row.n_u, row.n_v, row.n_edges, row.n_timestamps) == (
+            _duckdb_counts(datasets.load(name, sf=0.02))
+        ), name
     pdf = figure2_edges()
-    sdf = edges_from_pandas(spark, pdf)
+    index = TemporalBipartiteIndex.from_pandas(pdf)
+    got = (len(index.u_ids), len(index.v_ids), len(index), len(index.t_ids))
+    assert got == _duckdb_counts(pdf)
+    assert (got[0], got[1], got[3]) == (5, 5, 6)
+
+
+def test_snapshot_projection(edge_frames):
+    """Snapshot ``G_1`` read through the index's ``gamma_v`` view."""
+    _, pdf, index = edge_frames[0]
+    edges = _m_neighbors(index)
     assert_equivalent(
-        snapshot(sdf, 1),
+        edges.loc[edges.t == 1, ["u", "v"]],
         "SELECT DISTINCT u, v FROM edges WHERE t = 1",
         edges=pdf,
     )
