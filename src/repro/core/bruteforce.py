@@ -23,8 +23,8 @@ def enumerate_mfg_bruteforce(
 ) -> Dict[FrozenSet[int], Set[int]]:
     """All MFGs mapped to their support-timestamp sets.
 
-    Raises ``ValueError`` for a non-positive parameter, as every kernel
-    does, and when |V| exceeds ``max_v`` (the search is 2^|V|).
+    Raises ``ValueError`` for a parameter that is not an integer ≥ 1, as
+    every kernel does, and when |V| exceeds ``max_v`` (the search is 2^|V|).
     """
     check_params(tau_u, tau_v, lam)
     vees: List[int] = sorted(index.n_v)

@@ -93,7 +93,7 @@ def enumerate_mfg_distributed(
     ``apply_graph_filter=False`` the frame is searched as given, unpeeled.
     Returns ``{V_S: support timestamps}`` with original ids. Raises
     ``ValueError`` before any Spark job for another ``algorithm``, a
-    non-positive ``tau_u``, ``tau_v`` or ``lam``
+    ``tau_u``, ``tau_v`` or ``lam`` that is not an integer ≥ 1
     (:func:`repro.core.params.check_params`), or a frame without ``u``,
     ``v`` and ``t`` columns.
     """

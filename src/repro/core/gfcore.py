@@ -86,8 +86,8 @@ def gfcore_spark(
     ``localCheckpoint`` that the round's ``count()`` materializes, so a
     round is one Spark job and the plan does not grow with the iteration
     count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
-    fixpoint, and ``ValueError`` before any Spark job for a non-positive
-    parameter.
+    fixpoint, and ``ValueError`` before any Spark job for a parameter that
+    is not an integer ≥ 1.
     """
     from pyspark.sql import functions as F
     from pyspark.sql.window import Window

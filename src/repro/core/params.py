@@ -5,15 +5,30 @@ distributed path all validate through :func:`check_params`.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
+def _positive_int(value) -> bool:
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    )
+
+
 def check_params(tau_u: int, tau_v: int, lam: int) -> None:
-    """Raise ``ValueError`` unless ``τ_U``, ``τ_V`` and ``λ`` are all ≥ 1."""
-    if min(tau_u, tau_v, lam) < 1:
+    """Raise ``ValueError`` unless ``τ_U``, ``τ_V`` and ``λ`` are all
+    integers ≥ 1.
+
+    Any ``numbers.Integral`` counts, numpy integers included, but ``bool``
+    does not. A float such as ``1.5`` or NaN is rejected: NaN compares
+    false with every threshold, so a kernel would silently return nothing.
+    """
+    if not all(map(_positive_int, (tau_u, tau_v, lam))):
         raise ValueError(
-            "parameters must be positive, got "
-            f"tau_u={tau_u}, tau_v={tau_v}, lam={lam}"
+            "parameters must be positive integers, got "
+            f"tau_u={tau_u!r}, tau_v={tau_v!r}, lam={lam!r}"
         )
 
 

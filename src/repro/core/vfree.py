@@ -55,9 +55,17 @@ Deviations from the pseudocode (documented in DESIGN.md):
   report nothing. Because ``cnt_V[t][v'] ≤ |cand_U'(t)|`` and ``cnt_V`` is 0
   outside ``C_T'``, "``v'`` covers" is the same as the column sum
   ``Σ_t cnt_V[t][v']`` reaching ``|surv|``, the number of surviving
-  ``(t, u')`` pairs. The test runs only where the branch would otherwise
-  recurse. Maximal-biclique and closed-itemset enumeration prune the same
-  way (iMBEA; LCM's prefix-preserving closure test).
+  ``(t, u')`` pairs. Maximal-biclique and closed-itemset enumeration prune
+  the same way (iMBEA; LCM's prefix-preserving closure test);
+- *closure jump*: the higher-rank mirror of that prune, from the same
+  column sum. A candidate ``v' ∈ C_V*`` that covers is in every maximal
+  group below the branch: every ``X ⊇ V_S'`` there has
+  ``cand_U(X, t) ⊆ cand_U'(t) ⊆ Γ(v', t)``, so ``X ∪ {v'}`` has ``X``'s
+  support. It joins ``V_S'`` at once and VFree recurses only over the rest
+  of ``C_V*``. Closed vertices are marked in ``V_S`` for the subtree but get
+  no ``cnt_U`` update: they restrict nothing at any ``t ∈ C_T'``, so step 1
+  counts only the members really added. The τ_V tests and the report use
+  the full ``V_S'``.
 """
 from __future__ import annotations
 
@@ -90,10 +98,11 @@ def vfree(
     ``i < n``, partition the full result (one per distributed task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM"), including
-    the covered-outsider test; ``timers["evaluations"]`` counts the
-    candidate evaluations that reach steps 3+4 and ``timers["pruned"]`` the
-    branches that test skips. Raises ``ValueError`` for a non-positive
-    parameter.
+    the column-sum test of the prune and the closure;
+    ``timers["evaluations"]`` counts the candidate evaluations that reach
+    steps 3+4, ``timers["pruned"]`` the branches the covered-outsider prune
+    skips and ``timers["closed"]`` the vertices the closure jump adds.
+    Raises ``ValueError`` unless every parameter is an integer ≥ 1.
     """
     check_params(tau_u, tau_v, lam)
     if timers is None:
@@ -101,6 +110,7 @@ def vfree(
     timers.setdefault("cm", 0.0)
     timers.setdefault("evaluations", 0)
     timers.setdefault("pruned", 0)
+    timers.setdefault("closed", 0)
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
     if len(index) == 0:
         return {}
@@ -127,8 +137,15 @@ def vfree(
 
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def rec(vs: List[int], cand: Sequence[int], ct: np.ndarray) -> None:
-        """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space, C_T a mask."""
+    def rec(
+        vs: List[int], closed: List[int], cand: Sequence[int], ct: np.ndarray
+    ) -> None:
+        """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space, C_T a mask.
+
+        ``V_S`` is ``vs``, the members counted in ``cnt_U``, plus
+        ``closed``, the members added by the closure jump, which restrict
+        nothing below their branch and are not counted.
+        """
         size = len(vs) + 1
         for v in cand:
             t0 = time.perf_counter()
@@ -136,6 +153,7 @@ def vfree(
             lo, hi = v_off[v], v_off[v + 1]
             keys = e_key[lo:hi][ct[e_t[lo:hi]]]  # v's edges inside C_T
             cv_star: List[int] = []
+            shut: List[int] = []  # closed at this branch
             not_repeat = True
             # Step 1: ascertain from U.
             cnt_u[keys] += 1
@@ -158,32 +176,45 @@ def vfree(
                 cnt_t = np.bincount(qual % n_v, minlength=n_v)
                 freq_v = np.flatnonzero(cnt_t >= lam)
                 freq_v = freq_v[~in_vs[freq_v]]
-                if freq_v.shape[0]:
-                    not_repeat = bool(freq_v[0] >= v)
-                    cv_star = freq_v[freq_v >= v].tolist()
-                # Covered-outsider prune: a frequent outsider v' of rank < v
-                # adjacent to all of cand_U' at every t ∈ C_T' keeps
-                # notRepeat false in the whole subtree. Its column sum of
-                # cnt_V is then |surv|, the most any column can reach.
-                if not not_repeat and cv_star and size + len(cv_star) >= tau_v:
-                    low = freq_v[: freq_v.shape[0] - len(cv_star)]
-                    cov = cnt_v.reshape(n_t, n_v).take(low, 1).sum(0)
-                    if cov.max() == surv.shape[0]:
+                k = int(freq_v.searchsorted(v))  # outsiders of rank < v
+                not_repeat = k == 0
+                hi_v = freq_v[k:]
+                if hi_v.shape[0] and size + len(closed) + hi_v.shape[0] >= tau_v:
+                    # One column-sum test: v' is adjacent to all of cand_U'
+                    # at every t ∈ C_T' iff its column sum of cnt_V is
+                    # |surv|, the most any column can reach.
+                    cov = cnt_v.reshape(n_t, n_v).take(freq_v, 1).sum(0)
+                    cov = cov == surv.shape[0]
+                    # Closure jump: a covering v' of rank > v is in every
+                    # maximal group below this branch; it joins V_S'.
+                    shut = hi_v[cov[k:]].tolist()
+                    cv_star = hi_v[~cov[k:]].tolist()
+                    timers["closed"] += len(shut)
+                    # Covered-outsider prune: a covering v' of rank < v
+                    # keeps notRepeat false in the whole subtree.
+                    if cv_star and cov[:k].any():
                         cv_star = []
                         timers["pruned"] += 1
                 timers["evaluations"] += 1
             timers["cm"] += time.perf_counter() - t0
             if n_ct >= lam:
-                if size + len(cv_star) >= tau_v:
-                    rec(vs + [v], cv_star, ct_new)
-                if not cv_star and not_repeat and size >= tau_v:
-                    group = frozenset(v_of_rank[vs + [v]].tolist())
+                members = closed
+                if shut:
+                    in_vs[shut] = True
+                    members = closed + shut
+                # C_V* is non-empty only where |V_S'| + |C_V*| ≥ τ_V held.
+                if cv_star:
+                    rec(vs + [v], members, cv_star, ct_new)
+                if not cv_star and not_repeat and size + len(members) >= tau_v:
+                    group = frozenset(v_of_rank[vs + [v] + members].tolist())
                     results[group] = set(index.t_ids[ct_new].tolist())
+                if shut:
+                    in_vs[shut] = False
             # Restore cnt_U (lines 41-43).
             t0 = time.perf_counter()
             cnt_u[keys] -= 1
             in_vs[v] = False
             timers["cm"] += time.perf_counter() - t0
 
-    rec([], range(n_v)[roots], np.ones(n_t, dtype=bool))
+    rec([], [], range(n_v)[roots], np.ones(n_t, dtype=bool))
     return results

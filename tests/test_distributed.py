@@ -128,7 +128,15 @@ def _raises_before_any_job(spark, group, edges, params, match):
     assert jobs == []
 
 
-@pytest.mark.parametrize("params", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1)])
+@pytest.mark.parametrize(
+    "params",
+    [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1)]
+    + [
+        bad
+        for value in (float("nan"), 1.5, True)
+        for bad in ((value, 2, 3), (2, value, 3), (2, 2, value))
+    ],
+)
 def test_distributed_validates_params_before_spark(spark, params):
     edges = edges_from_pandas(spark, figure2_edges())
     _raises_before_any_job(spark, f"validate-{params}", edges, params, "positive")

@@ -6,7 +6,9 @@ relabelling or shift itself. Non-monotone relabels change both the dense
 codes and VFree's degree-order tie-breaks, so these also exercise every
 code path that depends on id order. Raising λ by one can only shrink the
 groups: a group frequent at λ+1 is frequent at λ, so it lies inside some
-MFG at λ.
+MFG at λ. A twin ``v*`` with exactly the temporal edges of some ``v`` joins
+every group that holds ``v``, with the same supports: a maximal group
+holds ``v*`` iff it holds ``v``.
 """
 from __future__ import annotations
 
@@ -93,3 +95,29 @@ def test_lambda_monotone(seed, params):
     assert tight == _oracle(raw, tau_u, tau_v, lam + 1)
     for vs in tight:
         assert any(vs <= big for big in loose), sorted(vs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("params", PARAMS)
+@pytest.mark.parametrize("twin_id", [-1, 7])
+def test_twin_joins_every_group_of_its_vertex(seed, params, twin_id):
+    """``v*`` gets an id below or above every other, so it ranks before or
+    after ``v`` in id order; ``v`` is a member of some group whenever the
+    parent result has one. Groups without ``v`` are unchanged; a group that
+    was too small for τ_V may appear once ``v*`` joins it, and then it
+    holds both."""
+    raw = random_triples(seed, n_u=6, n_v=7, n_t=5, density=0.45)
+    parent = _oracle(raw, *params)
+    members = sorted(set().union(*parent)) or sorted({e[1] for e in raw})
+    v = members[seed % len(members)]
+    twinned = raw + [(u, twin_id, t) for u, w, t in raw if w == v]
+    expected = {
+        vs | {twin_id} if v in vs else vs: supp for vs, supp in parent.items()
+    }
+    oracle = _oracle(twinned, *params)
+    for got in _enumerations(twinned, *params):
+        assert got == oracle
+        for vs, supp in expected.items():
+            assert got[vs] == supp, sorted(vs)
+        for vs in got.keys() - expected.keys():
+            assert {v, twin_id} <= vs, sorted(vs)

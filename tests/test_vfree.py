@@ -1,5 +1,5 @@
 """VFree-specific behavior: rooted partitioning, order handling, timers,
-and the covered-outsider prune."""
+the covered-outsider prune and the closure jump."""
 from __future__ import annotations
 
 import pytest
@@ -110,6 +110,7 @@ class TestInstrumentation:
         vfree(fig2, 2, 2, 3, timers=timers)
         assert timers["evaluations"] > 0
         assert 0 <= timers["pruned"] < timers["evaluations"]
+        assert timers["closed"] >= 0
 
 
 def _twins() -> TemporalBipartiteIndex:
@@ -121,39 +122,133 @@ def _twins() -> TemporalBipartiteIndex:
     )
 
 
+def _twin_prune() -> TemporalBipartiteIndex:
+    """v10 and v11 share every temporal edge (u0..u2 at t0..t2); v12 has
+    only u0 and u1 of those, plus u3 and u4. Ranks (degree and id order
+    alike): v10 < v11 < v12."""
+    return TemporalBipartiteIndex(
+        [(u, v, t) for v in (10, 11) for u in range(3) for t in range(3)]
+        + [(u, 12, t) for u in (0, 1, 3, 4) for t in range(3)]
+    )
+
+
+def _closable() -> TemporalBipartiteIndex:
+    """v1 and v2 share every temporal edge (u0..u2 at t0..t2); v3 has
+    u0..u2 at t0 and t1 only, plus u3..u5 at t0..t2. Ranks (degree and id
+    order alike): v1 < v2 < v3."""
+    return TemporalBipartiteIndex(
+        [(u, v, t) for v in (1, 2) for u in range(3) for t in range(3)]
+        + [(u, 3, t) for u in range(3) for t in range(2)]
+        + [(u, 3, t) for u in range(3, 6) for t in range(3)]
+    )
+
+
+def _sweep(density, params, sizes):
+    """Run VFree on random graphs of ``sizes`` ``(n_u, n_v, n_t, seeds)``,
+    reorder on and off and as the union of three root shares, against
+    brute force; return the summed timers."""
+    totals = {"pruned": 0, "closed": 0}
+    for n_u, n_v, n_t, seeds in sizes:
+        for seed in seeds:
+            g = random_temporal_graph(seed, n_u, n_v, n_t, density=density)
+            expected = enumerate_mfg_bruteforce(g, *params)
+            for reorder in (True, False):
+                timers = {}
+                got = vfree(g, *params, reorder_ids=reorder, timers=timers)
+                assert got == expected, (n_u, n_v, n_t, seed, reorder)
+                for key in totals:
+                    totals[key] += timers[key]
+                merged = {}
+                for i in range(3):
+                    merged.update(vfree(
+                        g, *params, reorder_ids=reorder, roots=slice(i, None, 3)
+                    ))
+                assert merged == expected, (n_u, n_v, n_t, seed, reorder)
+    return totals
+
+
 class TestCoveredOutsiderPrune:
     """A branch is skipped when a frequent outsider of lower rank is
     adjacent to all of ``cand_U'`` at every survived timestamp."""
 
     @pytest.mark.parametrize("reorder", [True, False])
     def test_twin_branch_is_pruned(self, reorder):
-        """Branch v11 would recurse into {v11, v12}, but v10 covers it, so
-        nothing below it can be reported. The evaluations left are {v10},
-        {v10,v11}, {v10,v11,v12}, {v10,v12}, {v11} and {v12}."""
+        """Branch v11 ends without recursing: v10 covers it, so nothing
+        below it could be reported. The closure jump ends it first: v12
+        covers too and is closed, which leaves no candidate, so the prune
+        test does not run. The evaluations are {v10} (closing v11 and v12),
+        {v11} (closing v12) and {v12}."""
         g, timers = _twins(), {}
         got = vfree(g, 2, 2, 2, reorder_ids=reorder, timers=timers)
         assert got == {frozenset({10, 11, 12}): {0, 1, 2}}
         assert got == enumerate_mfg_bruteforce(g, 2, 2, 2)
-        assert (timers["pruned"], timers["evaluations"]) == (1, 6)
+        assert (
+            timers["pruned"], timers["evaluations"], timers["closed"]
+        ) == (0, 3, 3)
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_prune_fires_with_the_closure_on(self, reorder):
+        """Branch v11 keeps candidate v12, which misses u2, but v10 covers
+        it, so the prune skips it. The evaluations are {v10} (closing v11),
+        {v10,v11,v12}, {v11} (pruned) and {v12}."""
+        g, timers = _twin_prune(), {}
+        got = vfree(g, 2, 2, 2, reorder_ids=reorder, timers=timers)
+        assert got == {frozenset({10, 11, 12}): {0, 1, 2}}
+        assert got == enumerate_mfg_bruteforce(g, 2, 2, 2)
+        assert (
+            timers["pruned"], timers["evaluations"], timers["closed"]
+        ) == (1, 4, 1)
 
     @pytest.mark.parametrize("params", [(2, 2, 2), (1, 2, 2), (2, 1, 2)])
     @pytest.mark.parametrize("density", [0.5, 0.7])
     def test_random_sweep_matches_bruteforce(self, density, params):
         """Reorder on and off, and the union of round-robin root batches,
-        all equal brute force; the prune fires somewhere in the sweep."""
-        pruned = 0
-        for seed in range(40):
-            g = random_temporal_graph(seed, n_u=6, n_v=7, n_t=5, density=density)
-            expected = enumerate_mfg_bruteforce(g, *params)
-            for reorder in (True, False):
-                timers = {}
-                got = vfree(g, *params, reorder_ids=reorder, timers=timers)
-                assert got == expected, (seed, reorder)
-                pruned += timers["pruned"]
-                merged = {}
-                for i in range(3):
-                    merged.update(vfree(
-                        g, *params, reorder_ids=reorder, roots=slice(i, None, 3)
-                    ))
-                assert merged == expected, (seed, reorder)
-        assert pruned > 0
+        all equal brute force; the prune fires somewhere in the sweep. The
+        6x9x5 graphs make it fire at density 0.5, where the closure jump
+        ends the 6x7x5 graphs' covered branches first."""
+        totals = _sweep(
+            density, params, [(6, 7, 5, range(40)), (6, 9, 5, range(8))]
+        )
+        assert totals["pruned"] > 0
+
+
+class TestClosureJump:
+    """A frequent candidate of higher rank that is adjacent to all of
+    ``cand_U'`` at every survived timestamp joins ``V_S'`` at once: it is
+    in every maximal group below the branch."""
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_higher_rank_twin_is_closed(self, reorder):
+        """Branch v1 closes its twin v2 and recurses into v3 alone, which
+        reports {v1,v2,v3} at t0,t1. The evaluations are {v1} (closing v2),
+        {v1,v2,v3}, {v2} (pruned: v1 covers it) and {v3}."""
+        g, timers = _closable(), {}
+        got = vfree(g, 2, 2, 2, reorder_ids=reorder, timers=timers)
+        assert got == {frozenset({1, 2, 3}): {0, 1}}
+        assert got == enumerate_mfg_bruteforce(g, 2, 2, 2)
+        assert (
+            timers["pruned"], timers["evaluations"], timers["closed"]
+        ) == (1, 4, 1)
+
+    @pytest.mark.parametrize("params", [(2, 2, 2), (1, 2, 2), (2, 1, 2)])
+    def test_random_sweep_matches_bruteforce(self, params):
+        """Reorder on and off, and the union of round-robin root batches,
+        all equal brute force; the closure fires somewhere in the sweep."""
+        totals = _sweep(0.6, params, [(5, 8, 4, range(20))])
+        assert totals["closed"] > 0
+
+    @pytest.mark.parametrize(
+        "name, evaluations", [("D15", 2_780), ("D14", 517)]
+    )
+    def test_evaluations_on_analogue_cores(self, name, evaluations):
+        """The structural gain, without timing: candidate evaluations on
+        the (τ_V, τ_U, λ)-core of the sf=0.3 analogues (without the closure
+        jump: 4,033 and 867)."""
+        p = datasets.SPECS[name].params
+        core = gfcore_local(
+            TemporalBipartiteIndex.from_pandas(datasets.load(name, sf=0.3)),
+            p.tau_u, p.tau_v, p.lam,
+        )
+        timers = {}
+        vfree(core, p.tau_u, p.tau_v, p.lam, timers=timers)
+        assert timers["evaluations"] == evaluations
