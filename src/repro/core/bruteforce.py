@@ -13,24 +13,23 @@ from repro.core.freq import support_timestamps
 from repro.core.params import check_params
 from repro.graph.index import TemporalBipartiteIndex
 
+#: The largest |V| the oracle accepts: it visits all 2^|V| subsets.
+MAX_V = 18
+
 
 def enumerate_mfg_bruteforce(
-    index: TemporalBipartiteIndex,
-    tau_u: int,
-    tau_v: int,
-    lam: int,
-    max_v: int = 18,
+    index: TemporalBipartiteIndex, tau_u: int, tau_v: int, lam: int
 ) -> Dict[FrozenSet[int], Set[int]]:
     """All MFGs mapped to their support-timestamp sets.
 
     Raises ``ValueError`` for a parameter that is not an integer ≥ 1, as
-    every kernel does, and when |V| exceeds ``max_v`` (the search is 2^|V|).
+    every kernel does, and when |V| exceeds :data:`MAX_V`.
     """
     check_params(tau_u, tau_v, lam)
     vees: List[int] = sorted(index.n_v)
-    if len(vees) > max_v:
+    if len(vees) > MAX_V:
         raise ValueError(
-            f"brute force limited to |V| <= {max_v}, got {len(vees)}"
+            f"brute force limited to |V| <= {MAX_V}, got {len(vees)}"
         )
     frequent: Dict[FrozenSet[int], Set[int]] = {}
     for size in range(tau_v, len(vees) + 1):

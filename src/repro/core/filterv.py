@@ -105,5 +105,5 @@ def filterv(
             enum(star_us[v], vs | {v}, list(rest), child_xv, tset & t_of[v])
             child_xv.append(v)
 
-    enum(set(index.u_vertices), frozenset(), all_v, [], all_t)
+    enum(set(index.u_ids.tolist()), frozenset(), all_v, [], all_t)
     return results

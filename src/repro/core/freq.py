@@ -94,9 +94,9 @@ def check_fre(
     slot of ``(u, t)`` reaching ``|V_S|`` means ``u`` is a common m-neighbor
     of ``V_S`` at ``t`` (one Update Array bump); a UA slot reaching ``τ_U``
     marks a support timestamp. The per-``u`` loops are vectorized across
-    all of ``U_S`` at once: every temporal edge of every ``v ∈ V_S`` is a
-    ``u·|T|+t`` key over the dense codes (``index.v_edge_keys``), and a key
-    with multiplicity ``|V_S|`` is precisely an RA slot at ``|V_S|``. Keys
+    all of ``U_S`` at once: every temporal edge of every ``v ∈ V_S`` is its
+    ``(t, u)`` slot ``index.tu`` (``index.v_edge_keys``), and a key with
+    multiplicity ``|V_S|`` is precisely an RA slot at ``|V_S|``. Keys
     of ``u ∉ U_S`` can never reach it, which is why ``U_S`` need not be
     given. Each member
     contributes at most ``d_max(v)·|T|`` keys, and ``|V_S| ≤ d_max(u)``
@@ -104,13 +104,13 @@ def check_fre(
     of Theorem 3.1.
     """
     vs = list(vs)
-    n_t = len(index.timestamps)
+    n_t = len(index.t_ids)
     if not vs or n_t == 0:
         return False
     keys = np.concatenate([index.v_edge_keys(v) for v in vs])
     uniq, cnt = np.unique(keys, return_counts=True)
-    full = uniq[cnt == len(vs)]  # (u, t) keys where RA[t] reached |V_S|
+    full = uniq[cnt == len(vs)]  # (t, u) keys where RA[t] reached |V_S|
     if full.shape[0] < tau_u * lam:
         return False
-    ua = np.bincount(full % n_t, minlength=n_t)  # Update Array
+    ua = np.bincount(full // len(index.u_ids), minlength=n_t)  # Update Array
     return int((ua >= tau_u).sum()) >= lam

@@ -52,7 +52,7 @@ def gfcore_local(
     """
     check_params(tau_u, tau_v, lam)
     n_t = len(index.t_ids)
-    ut_pairs, ut = np.unique(index.u * n_t + index.t, return_inverse=True)
+    ut_pairs, ut = np.unique(index.tu, return_inverse=True)
     # Edges are sorted by (v, t, u), so each (v, t) pair is one run.
     vt_first = np.diff(index.v * n_t + index.t, prepend=-1) != 0
     vt = np.cumsum(vt_first) - 1
@@ -73,9 +73,7 @@ def gfcore_local(
         alive &= ~bad
 
 
-def gfcore_spark(
-    edges: DataFrame, tau_u: int, tau_v: int, lam: int, max_iter: int = 200
-) -> DataFrame:
+def gfcore_spark(edges: DataFrame, tau_u: int, tau_v: int, lam: int) -> DataFrame:
     """The (τ_V, τ_U, λ)-core as an iterative Spark dataflow.
 
     Each round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
@@ -85,23 +83,17 @@ def gfcore_spark(
     count is stable (the peel fixpoint). Each round's frame is a lazy
     ``localCheckpoint`` that the round's ``count()`` materializes, so a
     round is one Spark job and the plan does not grow with the iteration
-    count. Raises ``RuntimeError`` when ``max_iter`` rounds end without a
-    fixpoint, and ``ValueError`` before any Spark job for a parameter that
-    is not an integer ≥ 1.
+    count. No round cap is needed: the edge count never grows, so the
+    rounds end within ``|E| + 1``. Raises ``ValueError`` before any Spark
+    job for a parameter that is not an integer ≥ 1.
     """
     from pyspark.sql import functions as F
     from pyspark.sql.window import Window
 
     check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
-    n, n_prev, rounds = e.count(), None, 0
+    n, n_prev = e.count(), None
     while n not in (0, n_prev):
-        if rounds == max_iter:
-            raise RuntimeError(
-                f"gfcore_spark: no fixpoint after max_iter={max_iter} rounds; "
-                f"the last two edge counts were {n_prev} and {n}"
-            )
-        rounds += 1
         e = (
             e.select(
                 "u", "v", "t",

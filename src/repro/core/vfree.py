@@ -6,16 +6,17 @@ branch derives the valid candidate set directly from the survived
 timestamps ``C_T`` inherited from the parent (Lemma 4.1) and the dynamic
 counting structures.
 
-All inputs come from the index's edge codes, laid out once per call in
-the processing order: per-``v`` edge keys ``t·|U|+u`` sorted by
-``(rank(v), t)`` with a parallel ``t`` array, and per-``(t,u)`` neighbor
-keys ``t·|V|+v'`` with an offset array. The counting structures are the
-paper's flat arrays:
+The edges of ``v`` are read in place from the index: its run of the
+``(v, t, u)``-sorted codes, whose ``(t, u)`` slots ``index.tu`` ascend,
+located by rank with ``np.searchsorted``. VFree's one private structure
+is the reverse: per-``(t,u)`` neighbor keys ``t·|V|+rank(v')`` with an
+offset array (the ``Γ(u,t)`` lists of step 3). The counting structures
+are the paper's flat arrays:
 
 - ``cnt_U[t][u]`` — #m-neighbors of ``u`` inside the current ``V_S`` at
   ``t``; maintained incrementally across the recursion (+1 on entering a
   branch with ``v``, −1 on backtracking). Kept as one flat array indexed by
-  ``t·|U|+u`` so a branch's update is a single vectorized scatter over the
+  ``index.tu`` so a branch's update is a single vectorized scatter over the
   edges of ``v`` restricted to ``C_T`` (one boolean mask).
 - ``cnt_V[t][v']`` — #m-neighbors of ``v'`` inside ``cand_U`` at ``t``:
   one ``np.bincount`` over the ``|T|·|V|`` domain of the gathered
@@ -117,17 +118,13 @@ def vfree(
 
     # ---- processing order: rank[c] of V code c --------------------------
     rank = index.degree_rank() if reorder_ids else np.arange(n_v)
-    v_of_rank = index.v_ids[np.argsort(rank)]
-    rv, t = rank[index.v], index.t
-    tu = t * n_u + index.u
-
-    # Per-v edge keys t·|U|+u, sorted by (rank(v), t), with their t and the
-    # per-v offsets.
-    by_v = np.argsort(rv, kind="stable")
-    e_key, e_t = tu[by_v], t[by_v]
-    v_off = np.concatenate(([0], np.cumsum(np.bincount(rv, minlength=n_v))))
-    # Per-(t,u) neighbor keys t·|V|+v', with the per-(t,u) offsets.
-    g_key = (t * n_v + rv)[np.argsort(tu, kind="stable")]
+    code = np.argsort(rank)  # V code of each rank
+    t, tu = index.t, index.tu
+    # The index's run of edges of the rank-r vertex is [lo[r], hi[r]).
+    lo = np.searchsorted(index.v, code)
+    hi = np.searchsorted(index.v, code, side="right")
+    # Per-(t,u) neighbor keys t·|V|+rank(v'), with the per-(t,u) offsets.
+    g_key = (t * n_v + rank[index.v])[np.argsort(tu, kind="stable")]
     g_off = np.concatenate(
         ([0], np.cumsum(np.bincount(tu, minlength=n_t * n_u)))
     )
@@ -150,8 +147,8 @@ def vfree(
         for v in cand:
             t0 = time.perf_counter()
             in_vs[v] = True
-            lo, hi = v_off[v], v_off[v + 1]
-            keys = e_key[lo:hi][ct[e_t[lo:hi]]]  # v's edges inside C_T
+            run = slice(lo[v], hi[v])
+            keys = tu[run][ct[t[run]]]  # v's edges inside C_T
             cv_star: List[int] = []
             shut: List[int] = []  # closed at this branch
             not_repeat = True
@@ -206,7 +203,7 @@ def vfree(
                 if cv_star:
                     rec(vs + [v], members, cv_star, ct_new)
                 if not cv_star and not_repeat and size + len(members) >= tau_v:
-                    group = frozenset(v_of_rank[vs + [v] + members].tolist())
+                    group = frozenset(index.v_ids[code[vs + [v] + members]].tolist())
                     results[group] = set(index.t_ids[ct_new].tolist())
                 if shut:
                     in_vs[shut] = False

@@ -3,20 +3,21 @@
 The graph is held once, as its distinct temporal edges over dense codes:
 sorted distinct ``u_ids``, ``v_ids`` and ``t_ids``, and per edge the int64
 codes ``u``, ``v`` and ``t`` into them (``t`` is the timestamp's position
-in ``T``), sorted by ``(v, t, u)``. The GFCore peel, VFree, MFB and MSG read
-these arrays directly; CheckFRE reads their per-vertex ``v_edge_keys``. The
-set-based kernels (BK-ALG, FilterV, the naive frequency check and the
-brute-force oracle) read the V-side dict views ``gamma_v`` and ``n_v``.
-Every view is derived from the codes on first access and then cached.
+in ``T``), sorted by ``(v, t, u)``. Both constructors go through
+:func:`edge_columns`, the one validation path. The edge's ``(t, u)`` slot
+``tu = t·|U| + u`` is the one key of the paper's ``(t, u)`` counters. The
+GFCore peel, VFree, MFB and MSG read these arrays directly; CheckFRE reads
+the per-vertex runs of ``tu`` (``v_edge_keys``). The set-based kernels
+(BK-ALG, FilterV, the naive frequency check and the brute-force oracle)
+read the V-side dict views ``gamma_v`` and ``n_v``. Every view is derived
+from the codes on first access and then cached; ``tu`` is not cached.
 
 U-ids and V-ids are separate namespaces, mirroring the paper's disjoint
 vertex sets U and V.
 """
 from __future__ import annotations
 
-import operator
 from functools import cached_property
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import numpy as np
@@ -28,9 +29,10 @@ _INT64_MAX = np.iinfo(np.int64).max
 def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
     """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
 
-    Raises ``ValueError`` for a missing or non-integer column, so that no
-    fractional id or timestamp is silently truncated, and for an unsigned
-    value above the int64 maximum, so that none silently wraps.
+    Raises ``ValueError`` naming the column for a missing or non-integer
+    column, so that no fractional id or timestamp is silently truncated, for
+    a missing value in a nullable integer column, and for an unsigned value
+    above the int64 maximum, so that none silently wraps.
     """
     missing = [c for c in "uvt" if c not in pdf.columns]
     if missing:
@@ -41,7 +43,13 @@ def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
         if not pd.api.types.is_integer_dtype(pdf[c].dtype)
     }
     if bad:
-        raise ValueError(f"edge columns must be integer, got {bad}")
+        raise ValueError(f"edge columns must be integer (int64), got {bad}")
+    # Only a pandas extension dtype, such as Int64, holds a missing integer.
+    holes = [
+        c for c in "uvt" if not isinstance(pdf[c].dtype, np.dtype) and pdf[c].hasnans
+    ]
+    if holes:
+        raise ValueError(f"edge columns {holes} hold missing values")
     wide = [
         c for c in "uvt" if pdf[c].dtype.kind == "u" and (pdf[c] > _INT64_MAX).any()
     ]
@@ -55,10 +63,10 @@ class TemporalBipartiteIndex:
 
     ``u_ids`` / ``v_ids`` / ``t_ids`` are the sorted distinct ids of U, V
     and T; ``u`` / ``v`` / ``t`` the per-edge codes into them, sorted by
-    ``(v, t, u)``. Both constructors deduplicate with one ``np.unique``
-    over a packed ``(v, t, u)`` key, and raise ``ValueError`` for an id or
-    timestamp that is not an integer or does not fit in int64; the triple
-    constructor also raises it for a row that is not a ``(u, v, t)`` triple.
+    ``(v, t, u)``. Both constructors validate the columns with
+    :func:`edge_columns` and deduplicate with one ``np.unique`` over a
+    packed ``(v, t, u)`` key; the triple constructor also raises
+    ``ValueError`` for a row that is not a ``(u, v, t)`` triple.
     """
 
     def __init__(self, edges: Iterable[Tuple[int, int, int]]):
@@ -66,17 +74,8 @@ class TemporalBipartiteIndex:
         ragged = next((row for row in rows if len(row) != 3), None)
         if ragged is not None:
             raise ValueError(f"edge rows must be (u, v, t) triples, got {ragged!r}")
-        try:
-            flat = np.fromiter(
-                map(operator.index, chain.from_iterable(rows)),
-                dtype=np.int64,
-                count=3 * len(rows),
-            )
-        except TypeError as err:
-            raise ValueError(f"ids and timestamps must be integer: {err}") from None
-        except OverflowError as err:
-            raise ValueError(f"ids and timestamps must fit in int64: {err}") from None
-        self._encode(flat[0::3], flat[1::3], flat[2::3])
+        pdf = pd.DataFrame(rows or np.empty((0, 3), np.int64), columns=list("uvt"))
+        self._encode(*edge_columns(pdf))
 
     def _encode(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
         """Dense-code the edge columns and drop duplicate edges."""
@@ -135,25 +134,26 @@ class TemporalBipartiteIndex:
 
     @cached_property
     def _v_edge_keys(self) -> Dict[int, np.ndarray]:
-        """Every vertex's sorted ``(u, t)`` keys (see :meth:`v_edge_keys`)."""
-        keys = self.u * len(self.t_ids) + self.t
-        keys = keys[np.lexsort((keys, self.v))]
+        """Every vertex's run of :attr:`tu` keys (see :meth:`v_edge_keys`)."""
         splits = np.flatnonzero(np.diff(self.v)) + 1
-        return dict(zip(self.v_ids.tolist(), np.split(keys, splits)))
+        return dict(zip(self.v_ids.tolist(), np.split(self.tu, splits)))
+
+    @property
+    def tu(self) -> np.ndarray:
+        """Every edge's ``(t, u)`` slot ``t_code·|U| + u_code``.
+
+        The one encoding of the paper's ``(t, u)`` counters: CheckFRE's
+        Reborn Array, the peel's ``δ(u,t)`` and VFree's ``cnt_U[t][u]``.
+        Built from the codes, it stays below ``|U|·|T|`` however large the
+        ids are, and it ascends within each ``v``'s run of edges. Computed
+        on every access and never cached, so an index that only VFree reads
+        holds nothing but its six code arrays.
+        """
+        return self.t * len(self.u_ids) + self.u
 
     # ------------------------------------------------------------------
     # Basic accessors (paper Definitions 2.1 / 2.2)
     # ------------------------------------------------------------------
-    @property
-    def u_vertices(self) -> List[int]:
-        """All U-side vertices with at least one edge."""
-        return self.u_ids.tolist()
-
-    @property
-    def v_vertices(self) -> List[int]:
-        """All V-side vertices with at least one edge."""
-        return self.v_ids.tolist()
-
     def s_neighbors_v(self, v: int) -> Set[int]:
         """``N(v, G)`` — static neighbors of ``v`` in U."""
         return self.n_v.get(v, set())
@@ -185,14 +185,12 @@ class TemporalBipartiteIndex:
         return rank
 
     def v_edge_keys(self, v: int) -> np.ndarray:
-        """All temporal edges of ``v`` as sorted keys ``u_code·|T| + t_code``.
-
-        Keys are built from the dense codes, not the ids, so they stay below
-        ``|U|·|T|`` however large the ids are.
+        """All temporal edges of ``v`` as sorted :attr:`tu` keys.
 
         The CheckFRE verification (Algorithm 3) counts how many members of
-        ``V_S`` each ``(u, t)`` key covers — a key hit ``|V_S|`` times is a
+        ``V_S`` each ``(t, u)`` key covers — a key hit ``|V_S|`` times is a
         common m-neighbor occurrence (a Reborn-Array slot reaching ``|V_S|``).
+        The keys are views into one :attr:`tu` array, not copies.
         """
         return self._v_edge_keys.get(v, np.empty(0, dtype=np.int64))
 

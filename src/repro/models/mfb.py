@@ -15,7 +15,7 @@ ordered DFS over the V side (extend while ≥ τ_U U-candidates remain) and,
 per V_S, a second DFS over U-candidates whose shared-timestamp mask keeps
 ``popcount ≥ λ``; global pairwise containment filtering yields the maximal
 pairs. Exponential in the worst case — intended for the case-study scale,
-guarded by ``max_nodes``.
+guarded by :data:`MAX_NODES`.
 """
 from __future__ import annotations
 
@@ -27,18 +27,18 @@ from repro.graph.index import TemporalBipartiteIndex
 
 Pair = Tuple[FrozenSet[int], FrozenSet[int]]
 
+#: Search nodes (V-side and U-side DFS calls) one :func:`mfb` call may visit.
+MAX_NODES = 200_000
+
 
 def mfb(
-    index: TemporalBipartiteIndex,
-    tau_u: int,
-    tau_v: int,
-    lam: int,
-    max_nodes: int = 200_000,
+    index: TemporalBipartiteIndex, tau_u: int, tau_v: int, lam: int
 ) -> List[Pair]:
     """All maximal frequent (τ_U, τ_V)-bicliques as ``(U_S, V_S)`` pairs.
 
     Raises ``ValueError`` unless ``τ_U``, ``τ_V`` and ``λ`` are all ≥ 1, as
-    :func:`gfcore_local` (the skeleton peel) does.
+    :func:`gfcore_local` (the skeleton peel) does, and ``RuntimeError`` when
+    the search visits more than :data:`MAX_NODES` nodes.
     """
     check_params(tau_u, tau_v, lam)
     # Timestamp bitmasks of the static edges present in ≥ λ snapshots; bit
@@ -55,7 +55,7 @@ def mfb(
     adj_v: Dict[int, Set[int]] = gfcore_local(skeleton, tau_u, tau_v, 1).n_v
     vees = sorted(adj_v)
     pairs: List[Pair] = []
-    budget = [max_nodes]
+    budget = [MAX_NODES]
 
     def popcount_ok(mask: int) -> bool:
         return mask.bit_count() >= lam

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bk_alg import bk_alg
-from repro.core.bruteforce import enumerate_mfg_bruteforce
+from repro.core.bruteforce import MAX_V, enumerate_mfg_bruteforce
 from repro.core.filterv import filterv
 from repro.core.vfree import vfree
+from repro.graph.index import TemporalBipartiteIndex
 from tests.conftest import random_temporal_graph
 
 PARAM_GRID = [(1, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
@@ -109,3 +110,13 @@ class TestResultInvariants:
         for a in res:
             for b in res:
                 assert a == b or not a < b
+
+
+def test_bruteforce_refuses_more_than_max_v():
+    ok = TemporalBipartiteIndex([(0, v, 0) for v in range(MAX_V)])
+    got = enumerate_mfg_bruteforce(ok, 1, MAX_V, 1)
+    assert got == {frozenset(range(MAX_V)): {0}}
+    wide = TemporalBipartiteIndex([(0, v, 0) for v in range(MAX_V + 1)])
+    match = f"limited to \\|V\\| <= {MAX_V}, got {MAX_V + 1}"
+    with pytest.raises(ValueError, match=match):
+        enumerate_mfg_bruteforce(wide, 1, 1, 1)

@@ -175,6 +175,13 @@ def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
         edges_from_pandas(spark, figure2_edges().drop(columns="t"))
 
 
+def test_edges_from_pandas_names_a_nullable_column_with_a_missing_value(spark):
+    holes = figure2_edges()
+    holes["u"] = pd.array([None] + holes["u"].tolist()[1:], dtype="Int64")
+    with pytest.raises(ValueError, match=r"\['u'\] hold missing values"):
+        edges_from_pandas(spark, holes)
+
+
 def test_edges_from_pandas_rejects_unsigned_values_above_int64(spark):
     wide = figure2_edges().astype("uint64")
     wide.loc[0, "v"] = np.uint64(2**64 - 1)

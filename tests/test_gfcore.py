@@ -160,14 +160,16 @@ class TestSparkPeel:
         assert got == spark_core(dedup, 2, 2, 2)
         assert got == sorted(gfcore_local(g, 2, 2, 2).edges_iter())
 
-    def test_spark_fails_loudly_at_max_iter(self, spark):
-        pdf = TemporalBipartiteIndex(CASCADE).to_pandas()
-        edges = edges_from_pandas(spark, pdf)
-        with pytest.raises(RuntimeError, match=r"max_iter=1\b.*6 and 5"):
-            gfcore_spark(edges, 2, 2, 1, max_iter=1)
-        core = gfcore_spark(edges, 2, 2, 1, max_iter=3).toPandas()
-        got = sorted(map(tuple, core[["u", "v", "t"]].values.tolist()))
-        assert got == sorted(CASCADE[:4])
+    def test_spark_peels_a_long_cascade_to_the_fixpoint(self, spark):
+        # A path u100–v200–u101–…–v209–u110 at one timestamp peels from
+        # both ends, two edges a round, so it needs 10 rounds to vanish; the
+        # 2×2 block of CASCADE beside it survives.
+        path = [(100 + i + d, 200 + i, 0) for i in range(10) for d in (0, 1)]
+        index = TemporalBipartiteIndex(path + CASCADE)
+        expected = sorted(gfcore_local(index, 2, 2, 1).edges_iter())
+        assert expected == sorted(CASCADE[:4])
+        edges = edges_from_pandas(spark, index.to_pandas())
+        assert spark_core(edges, 2, 2, 1) == expected
 
 
 @pytest.mark.parametrize("name", datasets.DATASET_NAMES)

@@ -37,17 +37,22 @@ class TestConstruction:
         assert idx.t.tolist() == [0, 1, 2]
 
     def test_vertex_lists(self, small):
-        assert small.u_vertices == [1, 2]
-        assert small.v_vertices == [10, 11]
+        assert small.u_ids.tolist() == [1, 2]
+        assert small.v_ids.tolist() == [10, 11]
 
     def test_from_pandas_roundtrip(self, small):
         again = TemporalBipartiteIndex.from_pandas(small.to_pandas())
         assert sorted(again.edges_iter()) == sorted(small.edges_iter())
 
     def test_empty(self):
-        idx = TemporalBipartiteIndex([])
-        assert len(idx) == 0
-        assert idx.timestamps == ()
+        # An empty row list (MFB's skeleton can be one) is an empty index.
+        for rows in ([], iter([])):
+            idx = TemporalBipartiteIndex(rows)
+            assert len(idx) == 0
+            assert idx.timestamps == ()
+            for name in ("u_ids", "v_ids", "t_ids", "u", "v", "t", "tu"):
+                array = getattr(idx, name)
+                assert array.dtype == np.int64 and array.shape == (0,)
 
 
 class TestNeighborhoods:
@@ -83,8 +88,15 @@ class TestDerived:
 
     def test_v_edge_keys_multiplicity(self, small):
         # v=10 has edges (u1,t0), (u1,t1), (u2,t1); u1 and u2 have codes 0
-        # and 1 → keys 0*2+0, 0*2+1, 1*2+1.
-        np.testing.assert_array_equal(small.v_edge_keys(10), [0, 1, 3])
+        # and 1, |U| = 2 → keys t·|U| + u = 0*2+0, 1*2+0, 1*2+1.
+        np.testing.assert_array_equal(small.v_edge_keys(10), [0, 2, 3])
+
+    def test_tu_is_the_edge_slot_and_is_not_cached(self, small):
+        # Edges in (v, t, u) order: (1,10,0) (1,10,1) (2,10,1) (1,11,0) (2,11,1).
+        assert small.tu.tolist() == [0, 2, 3, 0, 3]
+        assert small.tu is not small.tu
+        # The per-vertex keys are views of tu's runs, not copies.
+        assert small.v_edge_keys(11).base is not None
 
     def test_v_edge_keys_cached(self, small):
         assert small.v_edge_keys(10) is small.v_edge_keys(10)
@@ -92,14 +104,14 @@ class TestDerived:
     def test_separate_id_namespaces(self):
         # u=1 and v=1 are different vertices.
         idx = TemporalBipartiteIndex([(1, 1, 0)])
-        assert idx.u_vertices == [1] and idx.v_vertices == [1]
+        assert idx.u_ids.tolist() == [1] and idx.v_ids.tolist() == [1]
         assert idx.s_neighbors_v(1) == {1} and idx.gamma_v == {1: {0: {1}}}
         assert idx.to_pandas().values.tolist() == [[1, 1, 0]]
 
     def test_subset_recompacts_codes(self, small):
         out = small.subset(small.v_ids[small.v] == 10)
         assert sorted(out.edges_iter()) == [(1, 10, 0), (1, 10, 1), (2, 10, 1)]
-        assert out.v_vertices == [10] and out.u_vertices == [1, 2]
+        assert out.v_ids.tolist() == [10] and out.u_ids.tolist() == [1, 2]
         assert out.v.tolist() == [0, 0, 0]
 
     def test_degree_rank(self):
@@ -121,13 +133,13 @@ def _reference(triples: List[Tuple[int, int, int]]) -> Dict[str, object]:
         ref["n_v"].setdefault(v, set()).add(u)
     ref["v_edge_keys"] = {
         v: sorted(
-            u_pos[u] * len(ts) + t_pos[t] for t, us in per_t.items() for u in us
+            t_pos[t] * len(u_pos) + u_pos[u] for t, us in per_t.items() for u in us
         )
         for v, per_t in ref["gamma_v"].items()
     }
     ref.update(
         timestamps=tuple(ts),
-        u_vertices=sorted(u_pos),
+        u_ids=sorted(u_pos),
         n_edges=len(set(triples)),
     )
     return ref
@@ -157,17 +169,79 @@ class TestViewsMatchReference:
         assert idx.timestamps == ref["timestamps"]
         for name in ("gamma_v", "n_v"):
             assert getattr(idx, name) == ref[name], name
-        assert idx.u_vertices == ref["u_vertices"]
-        assert idx.v_vertices == sorted(ref["n_v"])
+        assert idx.u_ids.tolist() == ref["u_ids"]
+        assert idx.v_ids.tolist() == sorted(ref["n_v"])
         keys = {v: k.tolist() for v, k in idx._v_edge_keys.items()}
         assert keys == ref["v_edge_keys"]
         for v, keys in ref["v_edge_keys"].items():
             assert idx.v_edge_keys(v).tolist() == keys
+        runs = [ref["v_edge_keys"][v] for v in idx.v_ids.tolist()]
+        assert idx.tu.tolist() == [k for run in runs for k in run]
         assert sorted(idx.edges_iter()) == sorted(set(raw))
         # A view added to the index must be added to this comparison.
         views = {n for n, a in vars(TemporalBipartiteIndex).items()
                  if isinstance(a, cached_property)}
         assert views == {"timestamps", "gamma_v", "n_v", "_v_edge_keys"}
+
+
+#: One malformed input per case: the rows, the columns that put the same
+#: fault into a valid frame, and the message both constructors raise. A
+#: frame cannot hold a ragged row, so that case drops a column instead.
+MALFORMED = {
+    "float": ([(2, 3, 1), (1.5, 3, 0)], {"u": [2, 1.5]}, r"int64.*'u'"),
+    "numpy-float": (
+        [(2, 3, 1), (1, 3, np.float64(2.0))],
+        {"t": np.array([1.0, 2.0])},
+        r"int64.*'t'",
+    ),
+    "string": ([(2, 3, 1), (1, 3, "0")], {"t": ["1", "0"]}, r"int64.*'t'"),
+    "bool": ([(True, 1, 0)], {"u": [True, False]}, r"int64.*'u'"),
+    "above-int64": (
+        [(2, 3, 1), (1, 2**63, 0)],
+        {"v": np.array([3, 2**63], dtype=np.uint64)},
+        r"'v'.*int64",
+    ),
+    "below-int64": (
+        [(2, 3, 1), (1, 3, -(2**63) - 1)],
+        {"t": pd.Series([1, -(2**63) - 1], dtype=object)},
+        r"int64.*'t'",
+    ),
+    "ragged": (
+        [(2, 3, 1), (1, 3)],
+        {"t": None},
+        (r"\(u, v, t\) triples", r"missing.*'t'"),
+    ),
+    "missing-value": ([(2, 3, 1), (None, 3, 0)], {"u": [2, None]}, r"int64.*'u'"),
+}
+
+
+class TestSingleIngestPath:
+    """Both constructors validate through ``edge_columns``: each malformed
+    input raises ``ValueError`` through the rows and through a frame."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_is_rejected_by_both_constructors(self, case):
+        rows, columns, match = MALFORMED[case]
+        row_match, frame_match = (match, match) if isinstance(match, str) else match
+        pdf = pd.DataFrame({"u": [2, 1], "v": [3, 3], "t": [1, 0]})
+        for c, values in columns.items():
+            if values is None:
+                pdf = pdf.drop(columns=c)
+            else:
+                pdf[c] = values
+        with pytest.raises(ValueError, match=row_match):
+            TemporalBipartiteIndex(rows)
+        with pytest.raises(ValueError, match=frame_match):
+            TemporalBipartiteIndex.from_pandas(pdf)
+
+    def test_nullable_integer_column_with_a_missing_value_is_named(self):
+        pdf = pd.DataFrame({"u": [2, 1], "v": [3, 3], "t": [1, 0]})
+        pdf["v"] = pd.array([3, None], dtype="Int64")
+        with pytest.raises(ValueError, match=r"\['v'\] hold missing values"):
+            TemporalBipartiteIndex.from_pandas(pdf)
+        # Without a missing value the nullable column is accepted.
+        pdf["v"] = pd.array([3, 4], dtype="Int64")
+        assert TemporalBipartiteIndex.from_pandas(pdf).v_ids.tolist() == [3, 4]
 
 
 class TestValidation:

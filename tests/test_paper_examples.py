@@ -26,7 +26,7 @@ class TestExample21:
 
     def test_s_neighbors_u1(self, fig2, u1_edges):
         assert set(u1_edges.v.tolist()) == {1, 2, 3, 4, 5}
-        assert {v for v in fig2.v_vertices if 1 in fig2.s_neighbors_v(v)} == {
+        assert {v for v in fig2.v_ids.tolist() if 1 in fig2.s_neighbors_v(v)} == {
             1, 2, 3, 4, 5
         }
 
@@ -35,7 +35,7 @@ class TestExample21:
 
     def test_m_neighbors_u1_t1(self, fig2, u1_edges):
         assert u1_edges.v[u1_edges.t == 1].tolist() == [3]
-        assert {v for v in fig2.v_vertices if 1 in fig2.m_neighbors_v(v, 1)} == {3}
+        assert {v for v in fig2.v_ids.tolist() if 1 in fig2.m_neighbors_v(v, 1)} == {3}
 
     def test_m_degree_u1_t1(self, u1_edges):
         assert int((u1_edges.t == 1).sum()) == 1

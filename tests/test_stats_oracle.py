@@ -102,7 +102,7 @@ class TestDegreesAgainstDuckDB:
         _, pdf, index = edge_frames[which]
         assert_equivalent(
             pd.DataFrame(
-                ((v, t) for v in index.v_vertices for t in index.t_of_v(v, 2)),
+                ((v, t) for v in index.v_ids.tolist() for t in index.t_of_v(v, 2)),
                 columns=["v", "t"],
             ),
             """
@@ -116,7 +116,7 @@ class TestDegreesAgainstDuckDB:
     def test_v_frequency(self, edge_frames, which):
         """``|T(v)|``, the bound on any group frequency containing v."""
         _, pdf, index = edge_frames[which]
-        freq = ((v, len(index.t_of_v(v, 2))) for v in index.v_vertices)
+        freq = ((v, len(index.t_of_v(v, 2))) for v in index.v_ids.tolist())
         assert_equivalent(
             pd.DataFrame(((v, f) for v, f in freq if f), columns=["v", "freq"]),
             """

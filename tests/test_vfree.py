@@ -38,7 +38,7 @@ class TestRootedPartition:
                 assert merged == full, (reorder, k)
 
     def test_root_branch_contains_min_member(self, fig2):
-        for i, r in enumerate(fig2.v_vertices):
+        for i, r in enumerate(fig2.v_ids.tolist()):
             part = vfree(fig2, 2, 2, 3, reorder_ids=False, roots=slice(i, i + 1))
             for vs in part:
                 assert min(vs) == r
@@ -50,7 +50,7 @@ class TestRootedPartition:
 
 class TestOrdering:
     def test_degree_order_ranks(self, fig2):
-        order = dict(zip(fig2.v_vertices, fig2.degree_rank().tolist()))
+        order = dict(zip(fig2.v_ids.tolist(), fig2.degree_rank().tolist()))
         assert sorted(order.values()) == list(range(len(fig2.n_v)))
         degs = [len(fig2.n_v[v]) for v in sorted(order, key=order.get)]
         assert degs == sorted(degs)
@@ -66,12 +66,12 @@ class TestOrdering:
         rows = degree_order_v(edges_from_pandas(spark, core.to_pandas()))
         expected = {r["v"]: r["new_id"] for r in rows.collect()}
         assert len(expected) > 10
-        assert dict(zip(core.v_vertices, core.degree_rank().tolist())) == expected
+        assert dict(zip(core.v_ids.tolist(), core.degree_rank().tolist())) == expected
 
     def test_explicit_order_any_permutation_is_correct(self, fig2):
         """§4.2: correctness holds for *any* id assignment. Each cyclic
         shift relabels V so that id order is the shifted order."""
-        vees = fig2.v_vertices
+        vees = fig2.v_ids.tolist()
         for shift in range(len(vees)):
             label = {v: (i + shift) % len(vees) for i, v in enumerate(vees)}
             back = {new: v for v, new in label.items()}
