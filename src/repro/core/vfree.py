@@ -66,7 +66,13 @@ Deviations from the pseudocode (documented in DESIGN.md):
   of ``C_V*``. Closed vertices are marked in ``V_S`` for the subtree but get
   no ``cnt_U`` update: they restrict nothing at any ``t ∈ C_T'``, so step 1
   counts only the members really added. The τ_V tests and the report use
-  the full ``V_S'``.
+  the full ``V_S'``;
+- *τ_V capacity bound*: a group below a branch adds only members of
+  ``C_V*``, each with ``cnt_V[t][c] ≥ τ_U`` at every ``t`` of its support.
+  So a branch whose ``C_V*`` has τ_V − |V_S'| such members at fewer than
+  λ timestamps neither recurses nor reports (it is not maximal: every
+  ``c ∈ C_V*`` extends it). Every ``c`` is frequent, so the bound is
+  computed only when ``|V_S'| + 1 < τ_V``.
 """
 from __future__ import annotations
 
@@ -99,10 +105,11 @@ def vfree(
     ``i < n``, partition the full result (one per distributed task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM"), including
-    the column-sum test of the prune and the closure;
+    the column-sum test of the prune and the closure, and the capacity bound;
     ``timers["evaluations"]`` counts the candidate evaluations that reach
     steps 3+4, ``timers["pruned"]`` the branches the covered-outsider prune
-    skips and ``timers["closed"]`` the vertices the closure jump adds.
+    skips, ``timers["closed"]`` the vertices the closure jump adds and
+    ``timers["bounded"]`` the branches the τ_V capacity bound cuts.
     Raises ``ValueError`` unless every parameter is an integer ≥ 1.
     """
     check_params(tau_u, tau_v, lam)
@@ -112,6 +119,7 @@ def vfree(
     timers.setdefault("evaluations", 0)
     timers.setdefault("pruned", 0)
     timers.setdefault("closed", 0)
+    timers.setdefault("bounded", 0)
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
     if len(index) == 0:
         return {}
@@ -192,6 +200,18 @@ def vfree(
                     if cv_star and cov[:k].any():
                         cv_star = []
                         timers["pruned"] += 1
+                    # τ_V capacity bound: a group below this branch adds
+                    # `need` or more members of C_V*, each qualified
+                    # (cnt_V ≥ τ_U) at every t of its support, so λ
+                    # timestamps must each qualify `need` of them. Every
+                    # member is frequent: need = 1 can never cut.
+                    need = tau_v - size - len(closed) - len(shut)
+                    if cv_star and need > 1:
+                        fit = cnt_v.reshape(n_t, n_v).take(cv_star, 1) >= tau_u
+                        fit = np.count_nonzero(fit, 1)
+                        if np.count_nonzero(fit >= need) < lam:
+                            cv_star, not_repeat = [], False
+                            timers["bounded"] += 1
                 timers["evaluations"] += 1
             timers["cm"] += time.perf_counter() - t0
             if n_ct >= lam:

@@ -29,14 +29,17 @@ _INT64_MAX = np.iinfo(np.int64).max
 def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
     """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
 
-    Raises ``ValueError`` naming the column for a missing or non-integer
-    column, so that no fractional id or timestamp is silently truncated, for
-    a missing value in a nullable integer column, and for an unsigned value
-    above the int64 maximum, so that none silently wraps.
+    Raises ``ValueError`` naming the column for a missing, repeated or
+    non-integer column, so that no fractional id or timestamp is silently
+    truncated, for a missing value in a nullable integer column, and for an
+    unsigned value above the int64 maximum, so that none silently wraps.
     """
     missing = [c for c in "uvt" if c not in pdf.columns]
     if missing:
         raise ValueError(f"edge frame missing columns {missing}")
+    repeated = [c for c in "uvt" if list(pdf.columns).count(c) > 1]
+    if repeated:
+        raise ValueError(f"edge frame repeats columns {repeated}")
     bad = {
         c: str(pdf[c].dtype)
         for c in "uvt"

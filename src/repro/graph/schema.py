@@ -37,8 +37,8 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
 
     Duplicate rows are dropped on the driver, where the frame already is,
     so the Spark plan carries no ``distinct`` shuffle. Raises ``ValueError``
-    for a missing or non-integer column, or a value outside int64, as
-    :func:`repro.graph.index.edge_columns` does.
+    for a missing, repeated or non-integer column, or a value outside
+    int64, as :func:`repro.graph.index.edge_columns` does.
     """
     pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
     pdf = pdf.drop_duplicates(ignore_index=True)

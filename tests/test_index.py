@@ -9,6 +9,7 @@ import pandas as pd
 import pytest
 
 from repro.graph.index import TemporalBipartiteIndex
+from repro.graph.schema import edges_from_pandas
 from tests.conftest import random_triples
 
 
@@ -266,6 +267,17 @@ class TestValidation:
         pdf = pd.DataFrame({"u": [1], "v": [3], "t": [0]}).drop(columns=column)
         with pytest.raises(ValueError, match=f"missing.*'{column}'"):
             TemporalBipartiteIndex.from_pandas(pdf)
+
+    @pytest.mark.parametrize("column", ["u", "v", "t"])
+    def test_a_repeated_column_is_named(self, column):
+        """A repeated name makes ``pdf[column]`` a frame, not a column.
+        ``edges_from_pandas`` rejects it before any Spark call: it is given
+        no session."""
+        pdf = pd.DataFrame([[1, 3, 0, 2]], columns=["u", "v", "t", column])
+        with pytest.raises(ValueError, match=f"repeats.*'{column}'"):
+            TemporalBipartiteIndex.from_pandas(pdf)
+        with pytest.raises(ValueError, match=f"repeats.*'{column}'"):
+            edges_from_pandas(None, pdf)
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,5 +1,5 @@
 """VFree-specific behavior: rooted partitioning, order handling, timers,
-the covered-outsider prune and the closure jump."""
+the covered-outsider prune, the closure jump and the τ_V capacity bound."""
 from __future__ import annotations
 
 import pytest
@@ -111,6 +111,7 @@ class TestInstrumentation:
         assert timers["evaluations"] > 0
         assert 0 <= timers["pruned"] < timers["evaluations"]
         assert timers["closed"] >= 0
+        assert timers["bounded"] >= 0
 
 
 def _twins() -> TemporalBipartiteIndex:
@@ -143,11 +144,23 @@ def _closable() -> TemporalBipartiteIndex:
     )
 
 
+def _bounded() -> TemporalBipartiteIndex:
+    """v1 has u0 and u1 at t0..t3, v2 at t0 and t1 only, v3 at t2 and t3
+    only; v4, v5 and v6 share u2 and u3 at t0 and t1. Every vertex has two
+    u-neighbors, so the degree order is the id order."""
+    return TemporalBipartiteIndex(
+        [(u, 1, t) for u in range(2) for t in range(4)]
+        + [(u, 2, t) for u in range(2) for t in range(2)]
+        + [(u, 3, t) for u in range(2) for t in range(2, 4)]
+        + [(u, v, t) for v in (4, 5, 6) for u in (2, 3) for t in range(2)]
+    )
+
+
 def _sweep(density, params, sizes):
     """Run VFree on random graphs of ``sizes`` ``(n_u, n_v, n_t, seeds)``,
     reorder on and off and as the union of three root shares, against
     brute force; return the summed timers."""
-    totals = {"pruned": 0, "closed": 0}
+    totals = {"pruned": 0, "closed": 0, "bounded": 0}
     for n_u, n_v, n_t, seeds in sizes:
         for seed in seeds:
             g = random_temporal_graph(seed, n_u, n_v, n_t, density=density)
@@ -238,12 +251,13 @@ class TestClosureJump:
         assert totals["closed"] > 0
 
     @pytest.mark.parametrize(
-        "name, evaluations", [("D15", 2_780), ("D14", 517)]
+        "name, evaluations", [("D15", 1_613), ("D14", 454)]
     )
     def test_evaluations_on_analogue_cores(self, name, evaluations):
         """The structural gain, without timing: candidate evaluations on
         the (τ_V, τ_U, λ)-core of the sf=0.3 analogues (without the closure
-        jump: 4,033 and 867)."""
+        jump and the capacity bound: 4,033 and 867; with the closure jump
+        alone: 2,780 and 517)."""
         p = datasets.SPECS[name].params
         core = gfcore_local(
             TemporalBipartiteIndex.from_pandas(datasets.load(name, sf=0.3)),
@@ -252,3 +266,40 @@ class TestClosureJump:
         timers = {}
         vfree(core, p.tau_u, p.tau_v, p.lam, timers=timers)
         assert timers["evaluations"] == evaluations
+
+
+class TestCapacityBound:
+    """A branch whose ``C_V*`` cannot supply τ_V − |V_S'| members qualified
+    at the same λ timestamps neither recurses nor reports."""
+
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_branch_without_room_is_bounded(self, reorder):
+        """Branch v1 has C_V* = {v2, v3}, but only one of them qualifies at
+        each of t0..t3, so {v1} never grows to τ_V = 3 members. Branch v4
+        closes v5 and v6 and reports them. The evaluations are {v1}
+        (bounded), {v2}, {v3}, {v4}, {v5} and {v6}; without the bound,
+        {v1,v2} and {v1,v3} would be evaluated too."""
+        g, timers = _bounded(), {}
+        got = vfree(g, 2, 3, 2, reorder_ids=reorder, timers=timers)
+        assert got == {frozenset({4, 5, 6}): {0, 1}}
+        assert got == enumerate_mfg_bruteforce(g, 2, 3, 2)
+        assert (
+            timers["pruned"], timers["evaluations"], timers["closed"],
+            timers["bounded"],
+        ) == (0, 6, 2, 1)
+
+    @pytest.mark.parametrize(
+        "params, size, density",
+        [
+            ((2, 3, 2), (6, 9, 5), 0.6),
+            ((2, 4, 2), (6, 12, 5), 0.6),
+            ((1, 4, 3), (5, 10, 4), 0.7),
+        ],
+        ids=["2-3-2", "2-4-2", "1-4-3"],
+    )
+    def test_random_sweep_matches_bruteforce(self, params, size, density):
+        """Reorder on and off, and the union of round-robin root batches,
+        all equal brute force with τ_V ≥ 3, where the bound can fire; it
+        fires somewhere in each sweep."""
+        totals = _sweep(density, params, [(*size, range(30))])
+        assert totals["bounded"] > 0
