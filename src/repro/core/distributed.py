@@ -94,8 +94,8 @@ def enumerate_mfg_distributed(
     Returns ``{V_S: support timestamps}`` with original ids. Raises
     ``ValueError`` before any Spark job for another ``algorithm``, a
     ``tau_u``, ``tau_v`` or ``lam`` that is not an integer ≥ 1
-    (:func:`repro.core.params.check_params`), or a frame without ``u``,
-    ``v`` and ``t`` columns.
+    (:func:`repro.core.params.check_params`), or a frame whose ``u``, ``v``
+    or ``t`` column is missing, repeated or not of an integral type.
     """
     if algorithm != "vfree":
         raise ValueError(f"the distributed kernel is vfree, got {algorithm!r}")

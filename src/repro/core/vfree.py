@@ -13,11 +13,12 @@ is the reverse: per-``(t,u)`` neighbor keys ``t·|V|+rank(v')`` with an
 offset array (the ``Γ(u,t)`` lists of step 3). The counting structures
 are the paper's flat arrays:
 
-- ``cnt_U[t][u]`` — #m-neighbors of ``u`` inside the current ``V_S`` at
-  ``t``; maintained incrementally across the recursion (+1 on entering a
-  branch with ``v``, −1 on backtracking). Kept as one flat array indexed by
-  ``index.tu`` so a branch's update is a single vectorized scatter over the
-  edges of ``v`` restricted to ``C_T`` (one boolean mask).
+- ``cand_U`` — one depth stamp per ``index.tu`` slot: at depth ``d``,
+  ``level[(t,u)] == d`` iff ``t ∈ C_T`` and ``u ∈ cand_U(t)`` (the paper's
+  ``cnt_U[t][u] = |V_S|``); every slot is 0 at the root. ``cand_U`` only
+  shrinks (``cand_U' = cand_U ∩ Γ(v, t)``), so a branch that recurses
+  stamps its surviving ``(t, u')`` pairs ``d + 1`` and restores them to
+  ``d`` on return, in place of the +1/−1 counts and the ``C_T`` mask.
 - ``cnt_V[t][v']`` — #m-neighbors of ``v'`` inside ``cand_U`` at ``t``:
   one ``np.bincount`` over the ``|T|·|V|`` domain of the gathered
   ``Γ(u', t)`` keys of all ``(u', t) ∈ cand_U × C_T'`` — exactly the
@@ -28,8 +29,8 @@ are the paper's flat arrays:
 
 The four steps of §4.1 map onto array passes:
 
-1. *ascertain from U*: scatter +1 over v's edge keys; keys whose count
-   reaches ``|V_S'|`` are the ``(t, cand_U)`` pairs.
+1. *ascertain from U*: v's edge keys stamped with the current depth are
+   the ``(t, cand_U')`` pairs.
 2. *termination check*: per-timestamp ``cand_U`` sizes ≥ τ_U select the
    survived timestamps ``C_T'``.
 3. *reverse-ascertain from V*: one offset gather of the ``Γ(u',t)`` key
@@ -63,10 +64,9 @@ Deviations from the pseudocode (documented in DESIGN.md):
   group below the branch: every ``X ⊇ V_S'`` there has
   ``cand_U(X, t) ⊆ cand_U'(t) ⊆ Γ(v', t)``, so ``X ∪ {v'}`` has ``X``'s
   support. It joins ``V_S'`` at once and VFree recurses only over the rest
-  of ``C_V*``. Closed vertices are marked in ``V_S`` for the subtree but get
-  no ``cnt_U`` update: they restrict nothing at any ``t ∈ C_T'``, so step 1
-  counts only the members really added. The τ_V tests and the report use
-  the full ``V_S'``;
+  of ``C_V*``. Closed vertices join ``V_S`` for the subtree like any
+  member; they restrict nothing at any ``t ∈ C_T'``, so the branch's stamp
+  already is the subtree's ``cand_U``;
 - *τ_V capacity bound*: a group below a branch adds only members of
   ``C_V*``, each with ``cnt_V[t][c] ≥ τ_U`` at every ``t`` of its support.
   So a branch whose ``C_V*`` has τ_V − |V_S'| such members at fewer than
@@ -104,7 +104,8 @@ def vfree(
     ``slice(None)`` searches all of them; the shares ``slice(i, None, n)``,
     ``i < n``, partition the full result (one per distributed task).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
-    counting-structure maintenance time (Table 1's "VFree-CM"), including
+    counting-structure maintenance time (Table 1's "VFree-CM": the
+    ``cand_U`` stamp and its restore count as maintenance), including
     the column-sum test of the prune and the closure, and the capacity bound;
     ``timers["evaluations"]`` counts the candidate evaluations that reach
     steps 3+4, ``timers["pruned"]`` the branches the covered-outsider prune
@@ -137,32 +138,24 @@ def vfree(
         ([0], np.cumsum(np.bincount(tu, minlength=n_t * n_u)))
     )
 
-    cnt_u = np.zeros(n_t * n_u, dtype=np.int64)  # flat cnt_U[t][u]
+    level = np.zeros(n_t * n_u, dtype=np.int64)  # depth stamp of cand_U
     in_vs = np.zeros(n_v, dtype=bool)
 
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def rec(
-        vs: List[int], closed: List[int], cand: Sequence[int], ct: np.ndarray
-    ) -> None:
-        """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space, C_T a mask.
-
-        ``V_S`` is ``vs``, the members counted in ``cnt_U``, plus
-        ``closed``, the members added by the closure jump, which restrict
-        nothing below their branch and are not counted.
-        """
+    def rec(vs: List[int], cand: Sequence[int], depth: int) -> None:
+        """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space; ``cand_U × C_T``
+        is the set of ``(t, u)`` slots whose stamp is ``depth``."""
         size = len(vs) + 1
         for v in cand:
             t0 = time.perf_counter()
             in_vs[v] = True
-            run = slice(lo[v], hi[v])
-            keys = tu[run][ct[t[run]]]  # v's edges inside C_T
             cv_star: List[int] = []
             shut: List[int] = []  # closed at this branch
             not_repeat = True
-            # Step 1: ascertain from U.
-            cnt_u[keys] += 1
-            covered = keys[cnt_u[keys] == size]  # (t,u): u ∈ cand_U at t
+            # Step 1: ascertain from U — v's edges at (t, u ∈ cand_U), t ∈ C_T.
+            keys = tu[lo[v] : hi[v]]
+            covered = keys[level[keys] == depth]
             # Step 2: termination check / survived timestamps.
             tt = covered // n_u
             cu_count = np.bincount(tt, minlength=n_t)
@@ -184,7 +177,7 @@ def vfree(
                 k = int(freq_v.searchsorted(v))  # outsiders of rank < v
                 not_repeat = k == 0
                 hi_v = freq_v[k:]
-                if hi_v.shape[0] and size + len(closed) + hi_v.shape[0] >= tau_v:
+                if hi_v.shape[0] and size + hi_v.shape[0] >= tau_v:
                     # One column-sum test: v' is adjacent to all of cand_U'
                     # at every t ∈ C_T' iff its column sum of cnt_V is
                     # |surv|, the most any column can reach.
@@ -205,7 +198,7 @@ def vfree(
                     # (cnt_V ≥ τ_U) at every t of its support, so λ
                     # timestamps must each qualify `need` of them. Every
                     # member is frequent: need = 1 can never cut.
-                    need = tau_v - size - len(closed) - len(shut)
+                    need = tau_v - size - len(shut)
                     if cv_star and need > 1:
                         fit = cnt_v.reshape(n_t, n_v).take(cv_star, 1) >= tau_u
                         fit = np.count_nonzero(fit, 1)
@@ -215,23 +208,24 @@ def vfree(
                 timers["evaluations"] += 1
             timers["cm"] += time.perf_counter() - t0
             if n_ct >= lam:
-                members = closed
+                members = vs + [v] + shut
                 if shut:
                     in_vs[shut] = True
-                    members = closed + shut
                 # C_V* is non-empty only where |V_S'| + |C_V*| ≥ τ_V held.
                 if cv_star:
-                    rec(vs + [v], members, cv_star, ct_new)
-                if not cv_star and not_repeat and size + len(members) >= tau_v:
-                    group = frozenset(index.v_ids[code[vs + [v] + members]].tolist())
+                    t0 = time.perf_counter()
+                    level[surv] = depth + 1  # cand_U' × C_T' for the subtree
+                    timers["cm"] += time.perf_counter() - t0
+                    rec(members, cv_star, depth + 1)
+                    t0 = time.perf_counter()
+                    level[surv] = depth  # surv ⊆ covered: each slot held depth
+                    timers["cm"] += time.perf_counter() - t0
+                elif not_repeat and len(members) >= tau_v:
+                    group = frozenset(index.v_ids[code[members]].tolist())
                     results[group] = set(index.t_ids[ct_new].tolist())
                 if shut:
                     in_vs[shut] = False
-            # Restore cnt_U (lines 41-43).
-            t0 = time.perf_counter()
-            cnt_u[keys] -= 1
             in_vs[v] = False
-            timers["cm"] += time.perf_counter() - t0
 
-    rec([], [], range(n_v)[roots], np.ones(n_t, dtype=bool))
+    rec([], range(n_v)[roots], 0)
     return results

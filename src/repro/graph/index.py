@@ -146,7 +146,7 @@ class TemporalBipartiteIndex:
         """Every edge's ``(t, u)`` slot ``t_code·|U| + u_code``.
 
         The one encoding of the paper's ``(t, u)`` counters: CheckFRE's
-        Reborn Array, the peel's ``δ(u,t)`` and VFree's ``cnt_U[t][u]``.
+        Reborn Array, the peel's ``δ(u,t)`` and VFree's ``cand_U`` stamp.
         Built from the codes, it stays below ``|U|·|T|`` however large the
         ids are, and it ascends within each ``v``'s run of edges. Computed
         on every access and never cached, so an index that only VFree reads

@@ -48,14 +48,18 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
 def validate_edges(edges: DataFrame) -> DataFrame:
     """Validate an edge DataFrame's shape; returns the projected frame.
 
-    Raises ``ValueError`` when a required column is missing or not of an
-    integral type; the check reads the schema only, so it runs no Spark job.
+    Raises ``ValueError`` when a required column is missing, repeated or not
+    of an integral type, as :func:`repro.graph.index.edge_columns` does for a
+    pandas frame; the check reads the schema only, so it runs no Spark job.
     Casting to the canonical long types is applied so downstream joins never
     mix int32/int64.
     """
     missing = [c for c in EDGE_COLUMNS if c not in edges.columns]
     if missing:
         raise ValueError(f"edge DataFrame missing columns {missing}")
+    repeated = [c for c in EDGE_COLUMNS if edges.columns.count(c) > 1]
+    if repeated:
+        raise ValueError(f"edge DataFrame repeats columns {repeated}")
     bad = {
         f.name: f.dataType.simpleString()
         for f in edges.schema.fields

@@ -151,6 +151,15 @@ def test_distributed_validates_edges_before_spark(spark, column):
 
 
 @pytest.mark.parametrize("column", ["u", "v", "t"])
+def test_distributed_rejects_repeated_column_before_spark(spark, column):
+    edges = spark.createDataFrame([(1, 1, 2, 3)], [column, "u", "v", "t"])
+    _raises_before_any_job(
+        spark, f"validate-repeated-{column}", edges, (1, 1, 1),
+        f"repeats.*'{column}'",
+    )
+
+
+@pytest.mark.parametrize("column", ["u", "v", "t"])
 def test_distributed_rejects_fractional_column_before_spark(spark, column):
     edges = edges_from_pandas(spark, figure2_edges())
     edges = edges.withColumn(column, F.col(column) + 0.5)
