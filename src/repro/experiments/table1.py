@@ -76,8 +76,8 @@ def format_table1(rows: List[Table1Row]) -> str:
     lines = [" | ".join(hdr)]
     for label, meas, paper_i in [
         ("FilterV-CM (%)", [f"{r.filterv_cm_pct:.2f}%" for r in rows], 0),
-        ("FilterV-CM (s)", [f"{r.filterv_cm_s:.2f}s" for r in rows], 1),
-        ("VFree-CM (s)", [f"{r.vfree_cm_s:.2f}s" for r in rows], 2),
+        ("FilterV-CM (s)", [f"{r.filterv_cm_s:.3g}s" for r in rows], 1),
+        ("VFree-CM (s)", [f"{r.vfree_cm_s:.3g}s" for r in rows], 2),
     ]:
         lines.append(" | ".join([label + " [measured]"] + meas))
         paper = [f"{PAPER_TABLE1[r.params][paper_i]}" for r in rows]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
 import pandas as pd
 
 from repro.core.params import Params
@@ -154,16 +153,7 @@ def run_table3(seed: int = 42) -> Table3Result:
         return sorted(out, key=lambda g: (-len(g), g))
 
     mfg_groups = named(vfree(index, p.tau_u, p.tau_v, p.lam))
-    # MSG is enumerated on the named-condition component. The planted
-    # patients connect exclusively to named conditions (disjoint id
-    # ranges), so the named component's maximal static groups are identical
-    # to their restriction in the full graph; the unnamed (noise) component
-    # would only contribute groups that the named() filter drops anyway,
-    # while costing exponential time (λ=1, τ=2 on a dense static hub
-    # neighborhood has exponentially many frequent subsets).
-    named_ids = [condition_id(n) for n in CONDITIONS]
-    named_index = index.subset(np.isin(index.v_ids[index.v], named_ids))
-    msg_groups = named(msg(named_index, p.tau_u, p.tau_v))
+    msg_groups = named(msg(index, p.tau_u, p.tau_v))
     mfb_groups = named(vs for _us, vs in mfb(index, p.tau_u, p.tau_v, p.lam))
     return Table3Result(mfg=mfg_groups, msg=msg_groups, mfb=mfb_groups)
 

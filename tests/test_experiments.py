@@ -11,6 +11,7 @@ from repro.experiments.exp1 import EXP1_ALGORITHMS, format_exp1, run_exp1
 from repro.experiments.table1 import (
     PAPER_TABLE1,
     PARAM_SWEEP,
+    Table1Row,
     format_table1,
     run_table1,
 )
@@ -60,6 +61,18 @@ class TestTable1:
     def test_format_contains_paper_values(self, rows):
         text = format_table1(rows)
         assert "88.26" in text and "899.3" in text and "63.8" in text
+
+    def test_format_cm_seconds_to_three_significant_digits(self):
+        """A sub-0.1 s CM time keeps three significant digits, not two
+        decimals."""
+        row = Table1Row(
+            params=(9, 5, 8), filterv_cm_pct=94.66, filterv_cm_s=1.134,
+            vfree_cm_s=0.0934, filterv_wall_s=1.2, vfree_wall_s=0.2,
+            n_groups=3, agree=True,
+        )
+        lines = format_table1([row]).splitlines()
+        assert lines[3] == "FilterV-CM (s) [measured] | 1.13s"
+        assert lines[5] == "VFree-CM (s) [measured] | 0.0934s"
 
 
 class TestTable2:
@@ -129,6 +142,32 @@ class TestTable3:
     def test_format(self, result):
         text = format_table3(result)
         assert "MFG" in text and "N/A" in text and "SEPSIS" in text
+
+    def test_sf1_matches_committed_results(self, result):
+        """``python jobs/table3.py > results/table3.txt`` is reproducible."""
+        committed = (ROOT / "results" / "table3.txt").read_text()
+        assert format_table3(result) + "\n" == committed
+
+    def test_mfb_pairs_at_lambda_one_are_frequent_and_maximal(self):
+        """At (2,2,1) the case graph has MFB pairs; each one's edges share
+        ≥ 1 timestamp in the raw edge frame, and no single u or v can join
+        it and keep one."""
+        pdf = build_case_graph()
+        got = mfb(TemporalBipartiteIndex.from_pandas(pdf), 2, 2, 1)
+        assert got
+        ts = {e: set(g) for e, g in pdf.groupby(["u", "v"])["t"]}
+
+        def frequent(us, vs) -> bool:
+            return bool(
+                set.intersection(*(ts.get((u, v), set()) for u in us for v in vs))
+            )
+
+        all_u, all_v = set(pdf["u"]), set(pdf["v"])
+        for us, vs in got:
+            assert len(us) >= 2 and len(vs) >= 2
+            assert frequent(us, vs)
+            assert not any(frequent(us | {u}, vs) for u in all_u - us)
+            assert not any(frequent(us, vs | {v}) for v in all_v - vs)
 
     def test_case_graph_deterministic(self):
         assert build_case_graph(1).equals(build_case_graph(1))

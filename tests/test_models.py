@@ -149,7 +149,11 @@ class TestMFB:
         assert mfb(idx, 2, 3, 3) == []  # needs 3 V vertices, only 2 exist
 
     @pytest.mark.parametrize(
-        "tau_u, tau_v, lam", [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3)]
+        "tau_u, tau_v, lam",
+        [
+            (1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3),
+            (1, 2, 1), (2, 1, 2), (1, 1, 3), (3, 3, 1),
+        ],
     )
     def test_random_graphs_match_bruteforce(self, tau_u, tau_v, lam):
         """Exhaustive (U_S, V_S) oracle on 120 small seeded graphs
@@ -165,6 +169,16 @@ class TestMFB:
             assert set(got) == mfb_bruteforce(triples, tau_u, tau_v, lam), seed
             non_empty += bool(got)
         assert non_empty >= 40
+
+    @pytest.mark.parametrize("b", [10, 40])
+    def test_complete_biclique_is_one_pair(self, b):
+        """K_{b,b} present at λ = 3 snapshots: every sub-biclique is
+        frequent, and the one maximal pair is the whole graph."""
+        us, vs = range(b), range(1000, 1000 + b)
+        idx = TemporalBipartiteIndex(
+            (u, v, t) for u in us for v in vs for t in range(3)
+        )
+        assert mfb(idx, 2, 2, 3) == [(frozenset(us), frozenset(vs))]
 
     def test_masks_past_64_timestamps(self):
         """A biclique at the 1st, 65th and 66th of 66 timestamps: its edges'
