@@ -24,8 +24,9 @@ def main() -> None:
     ap.add_argument(
         "--distributed",
         action="store_true",
-        help="run the Spark fan-out over root batches (vfree only) instead "
-        "of the driver kernel",
+        help="run the distributed path (vfree only): the driver searches "
+        "roots for up to the fan-out's fixed cost, then a Spark fan-out "
+        "searches the roots left",
     )
     args = ap.parse_args()
     if args.distributed and args.algorithm != "vfree":

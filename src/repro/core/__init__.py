@@ -11,5 +11,6 @@
   search.
 - ``params`` — the (τ_U, τ_V, λ) parameters and their validity check.
 - ``runner`` — unified entry point and instrumentation.
-- ``distributed`` — Spark fan-out of the search across root vertices.
+- ``distributed`` — the search on the driver first, then a Spark fan-out
+  of the root vertices left.
 """

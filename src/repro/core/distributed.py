@@ -1,4 +1,5 @@
-"""Distributed MFG enumeration: peel to the core, then VFree over rank shares.
+"""Distributed MFG enumeration: peel to the core, search on the driver
+first, then run VFree over shares of the roots that are left.
 
 Pipeline (DESIGN.md §2 "Layering note"):
 
@@ -8,19 +9,23 @@ Pipeline (DESIGN.md §2 "Layering note"):
    graph is peeled by ``gfcore_spark`` to the fixpoint and its core is
    collected. The peel fixpoint is unique (Lemma 3.1 and
    :mod:`repro.core.gfcore`), so both give the same core.
-2. The core, a :class:`TemporalBipartiteIndex`, is broadcast to the
-   executors.
-3. ``n = min(defaultParallelism, |V|)`` tasks each search one share of
-   VFree's processing order: task ``i`` runs
-   ``vfree(core, ..., roots=slice(i, None, n))``, the roots of rank ``i``,
-   ``i + n``, ... . VFree's ``notRepeat`` rule makes top-level branches
-   independent and duplicate-free: the MFG whose minimum rank is ``r`` is
-   emitted exactly once, by branch ``r``. Every task orders the same
-   broadcast core, so the union of the shares' results is the sequential
-   result. The driver does no ranking.
+2. The driver searches VFree's top-level branches in rank order 0, 1, 2,
+   ... and stops between roots once it has spent ``FANOUT_S``, the
+   fan-out's fixed cost. A search that ends within it returns with no
+   broadcast and no fan-out job.
+3. Otherwise the ranks ``k, k + 1, ...`` that are left go to
+   ``n = min(defaultParallelism, |V| − k)`` tasks over the broadcast core:
+   task ``i`` runs ``vfree(core, ..., roots=slice(k + i, None, n))``, the
+   roots of rank ``k + i``, ``k + i + n``, ... . VFree's ``notRepeat``
+   rule makes top-level branches independent and duplicate-free: the MFG
+   whose minimum rank is ``r`` is emitted exactly once, by branch ``r``.
+   Every task orders the same broadcast core as the driver, so the
+   driver's groups and the shares' groups together are the sequential
+   result.
 """
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, Set
 
 from pyspark import SparkContext
@@ -28,7 +33,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.params import check_params
-from repro.core.vfree import vfree
+from repro.core.vfree import _search_roots, vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import validate_edges
 
@@ -38,6 +43,13 @@ EDGE_BYTES = 24
 #: peel ran out of a 1 GiB heap between 10M and 12M edges, about 100 bytes
 #: each (DESIGN.md §2 "Driver-memory assumption").
 HEAP_BYTES_PER_EDGE = 256
+#: Seconds the driver searches before it ships the roots that are left:
+#: the fixed cost of a fan-out job. One broadcast + ``mapPartitions`` VFree
+#: fan-out of ``local[2]`` took 0.358 s (IQR 0.342–0.401) and a no-op
+#: two-task ``mapPartitions`` job 0.23–0.31 s, most of it pyspark's
+#: per-task ``importlib.invalidate_caches`` (DESIGN.md §2). A search that
+#: ends within this time costs less than the fan-out would.
+FANOUT_S = 0.3
 #: The largest row count ``DataFrame.limit`` takes (a JVM ``int``), less one.
 _MAX_LIMIT = 2**31 - 2
 
@@ -106,19 +118,40 @@ def enumerate_mfg_distributed(
         core = _collect_core(edges, tau_u, tau_v, lam, driver_edge_budget(sc))
     else:
         core = TemporalBipartiteIndex.from_pandas(edges.toPandas())
-    if len(core) == 0:
-        return {}
-    n = min(sc.defaultParallelism, len(core.v_ids))
+    groups: Dict[FrozenSet[int], Set[int]] = {}
+    k = _search_on_driver(core, tau_u, tau_v, lam, groups)
+    n = min(sc.defaultParallelism, len(core.v_ids) - k)
+    if n == 0:
+        return groups
     b_core = sc.broadcast(core)
 
     def run_shares(shares):
         for i in shares:
-            groups = vfree(b_core.value, tau_u, tau_v, lam, roots=slice(i, None, n))
-            for vs, supp in groups.items():
+            share = vfree(
+                b_core.value, tau_u, tau_v, lam, roots=slice(k + i, None, n)
+            )
+            for vs, supp in share.items():
                 yield tuple(vs), tuple(supp)
 
     try:
         out = sc.parallelize(range(n), n).mapPartitions(run_shares).collect()
     finally:
         b_core.destroy()
-    return {frozenset(vs): set(supp) for vs, supp in out}
+    groups.update((frozenset(vs), set(supp)) for vs, supp in out)
+    return groups
+
+
+def _search_on_driver(
+    core: TemporalBipartiteIndex,
+    tau_u: int,
+    tau_v: int,
+    lam: int,
+    groups: Dict[FrozenSet[int], Set[int]],
+) -> int:
+    """Search the roots of rank 0, 1, ... into ``groups`` until ``FANOUT_S``
+    seconds are spent; returns ``k``, the first rank not searched."""
+    deadline = time.perf_counter() + FANOUT_S
+    for k in _search_roots(core, tau_u, tau_v, lam, groups):
+        if time.perf_counter() >= deadline:
+            return k
+    return len(core.v_ids)

@@ -77,7 +77,7 @@ Deviations from the pseudocode (documented in DESIGN.md):
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -101,8 +101,10 @@ def vfree(
     plain id order (the "without ID reorder" ablation of Exp-7); §4.2: any
     order gives the same result. ``roots`` is a slice of that order: the
     top level searches only the branches rooted at those ranks. The default
-    ``slice(None)`` searches all of them; the shares ``slice(i, None, n)``,
-    ``i < n``, partition the full result (one per distributed task).
+    ``slice(None)`` searches all of them; for any ``k`` and ``n``, the
+    prefix ``slice(0, k)`` and the shares ``slice(k + i, None, n)``,
+    ``i < n``, partition the full result (the driver's part and the
+    distributed tasks' parts).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM": the
     ``cand_U`` stamp and its restore count as maintenance), including
@@ -112,6 +114,31 @@ def vfree(
     skips, ``timers["closed"]`` the vertices the closure jump adds and
     ``timers["bounded"]`` the branches the τ_V capacity bound cuts.
     Raises ``ValueError`` unless every parameter is an integer ≥ 1.
+    """
+    results: Dict[FrozenSet[int], Set[int]] = {}
+    for _ in _search_roots(
+        index, tau_u, tau_v, lam, results, reorder_ids, roots, timers
+    ):
+        pass
+    return results
+
+
+def _search_roots(
+    index: TemporalBipartiteIndex,
+    tau_u: int,
+    tau_v: int,
+    lam: int,
+    results: Dict[FrozenSet[int], Set[int]],
+    reorder_ids: bool = True,
+    roots: slice = slice(None),
+    timers: Optional[Dict[str, float]] = None,
+) -> Iterator[int]:
+    """:func:`vfree`'s search, one top-level branch at a time.
+
+    Yields the rank of each root in ``roots`` before searching its branch,
+    and adds the branch's groups to ``results``. A caller that stops
+    resuming at the yield of rank ``r`` has searched exactly the roots
+    before ``r``; the arrays are built once, on the first resume.
     """
     check_params(tau_u, tau_v, lam)
     if timers is None:
@@ -123,7 +150,7 @@ def vfree(
     timers.setdefault("bounded", 0)
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
     if len(index) == 0:
-        return {}
+        return
 
     # ---- processing order: rank[c] of V code c --------------------------
     rank = index.degree_rank() if reorder_ids else np.arange(n_v)
@@ -140,8 +167,6 @@ def vfree(
 
     level = np.zeros(n_t * n_u, dtype=np.int64)  # depth stamp of cand_U
     in_vs = np.zeros(n_v, dtype=bool)
-
-    results: Dict[FrozenSet[int], Set[int]] = {}
 
     def rec(vs: List[int], cand: Sequence[int], depth: int) -> None:
         """VerifyFreeMFG(V_S, C_V, C_T) — V in rank space; ``cand_U × C_T``
@@ -227,5 +252,6 @@ def vfree(
                     in_vs[shut] = False
             in_vs[v] = False
 
-    rec([], range(n_v)[roots], 0)
-    return results
+    for root in range(n_v)[roots]:
+        yield root
+        rec([], (root,), 0)

@@ -70,14 +70,19 @@ def run_table1(sf: float = 1.0, dataset: str = "D14") -> List[Table1Row]:
     return rows
 
 
+def _seconds(x: float) -> str:
+    """Three significant digits, trailing zeros kept: 0.150s, 123s."""
+    return f"{x:#.3g}".rstrip(".") + "s"
+
+
 def format_table1(rows: List[Table1Row]) -> str:
     """Render measured-vs-paper rows in the paper's layout."""
     hdr = ["(tau_U,tau_V,lambda)"] + [str(r.params) for r in rows]
     lines = [" | ".join(hdr)]
     for label, meas, paper_i in [
         ("FilterV-CM (%)", [f"{r.filterv_cm_pct:.2f}%" for r in rows], 0),
-        ("FilterV-CM (s)", [f"{r.filterv_cm_s:.3g}s" for r in rows], 1),
-        ("VFree-CM (s)", [f"{r.vfree_cm_s:.3g}s" for r in rows], 2),
+        ("FilterV-CM (s)", [_seconds(r.filterv_cm_s) for r in rows], 1),
+        ("VFree-CM (s)", [_seconds(r.vfree_cm_s) for r in rows], 2),
     ]:
         lines.append(" | ".join([label + " [measured]"] + meas))
         paper = [f"{PAPER_TABLE1[r.params][paper_i]}" for r in rows]

@@ -1,6 +1,7 @@
 """Distributed (Spark fan-out) enumeration ≡ sequential kernels."""
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -20,43 +21,67 @@ from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
 
+#: The two ends of ``FANOUT_S``: 0 ships every root to the fan-out, ∞
+#: searches every root on the driver.
+FANOUT_ENDS = (0, math.inf)
+
+
+@pytest.fixture()
+def fanout_ends(monkeypatch):
+    """Iterate over ``FANOUT_ENDS``; each is ``distributed.FANOUT_S`` for
+    its pass of the loop."""
+
+    def ends():
+        for fanout_s in FANOUT_ENDS:
+            monkeypatch.setattr(distributed, "FANOUT_S", fanout_s)
+            yield fanout_s
+
+    return ends()
+
+
 @pytest.mark.parametrize("algorithm", ["vfree"])
-def test_distributed_on_figure2(spark, algorithm):
+def test_distributed_on_figure2(spark, fanout_ends, algorithm):
     edges = edges_from_pandas(spark, figure2_edges())
-    got = enumerate_mfg_distributed(edges, 2, 2, 3, algorithm=algorithm)
-    assert got == FIG2_MFGS
+    for fanout_s in fanout_ends:
+        got = enumerate_mfg_distributed(edges, 2, 2, 3, algorithm=algorithm)
+        assert got == FIG2_MFGS, fanout_s
 
 
 @pytest.mark.parametrize("algorithm", ["vfree"])
 @pytest.mark.parametrize("seed", [0, 4])
-def test_distributed_on_random(spark, algorithm, seed):
+def test_distributed_on_random(spark, fanout_ends, algorithm, seed):
     g = random_temporal_graph(seed, n_u=6, n_v=8, n_t=5, density=0.45)
     edges = edges_from_pandas(spark, g.to_pandas())
     expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
-    got = enumerate_mfg_distributed(edges, 2, 2, 2, algorithm=algorithm)
-    assert got == expected
+    for fanout_s in fanout_ends:
+        got = enumerate_mfg_distributed(edges, 2, 2, 2, algorithm=algorithm)
+        assert got == expected, fanout_s
 
 
-def test_distributed_invariant_under_shuffle_partitions(spark):
+def test_distributed_invariant_under_shuffle_partitions(spark, fanout_ends):
     g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
     edges = edges_from_pandas(spark, g.to_pandas())
     key = "spark.sql.shuffle.partitions"
     saved = spark.conf.get(key)
-    got = {}
-    try:
-        for n in (1, 7):
-            spark.conf.set(key, str(n))
-            got[n] = enumerate_mfg_distributed(edges, 2, 2, 2)
-    finally:
-        spark.conf.set(key, saved)
-    assert got[1] == got[7] == vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
-    assert got[1]
+    expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
+    for fanout_s in fanout_ends:
+        got = {}
+        try:
+            for n in (1, 7):
+                spark.conf.set(key, str(n))
+                got[n] = enumerate_mfg_distributed(edges, 2, 2, 2)
+        finally:
+            spark.conf.set(key, saved)
+        assert got[1] == got[7] == expected, fanout_s
+        assert got[1]
 
 
-def test_distributed_one_root_per_task(spark):
+def test_distributed_one_root_per_task(spark, monkeypatch):
     """A core with no more V vertices than ``defaultParallelism`` gives one
-    task per root. v10 and v11 share no neighbor, so each is its own MFG;
-    v12 lives in one snapshot and the peel removes it."""
+    task per root when every root is shipped (``FANOUT_S`` = 0). v10 and
+    v11 share no neighbor, so each is its own MFG; v12 lives in one
+    snapshot and the peel removes it."""
+    monkeypatch.setattr(distributed, "FANOUT_S", 0)
     triples = [(u, 10, t) for u in (0, 1) for t in (0, 1)]
     triples += [(u, 11, t) for u in (2, 3) for t in (0, 1)]
     triples += [(u, 12, 0) for u in (0, 2)]
@@ -69,7 +94,7 @@ def test_distributed_one_root_per_task(spark):
     assert enumerate_mfg_distributed(edges, 2, 1, 2) == expected
 
 
-def test_distributed_on_dataset(spark):
+def test_distributed_on_dataset(spark, fanout_ends):
     name = "D2"
     spec = datasets.SPECS[name]
     p = spec.params
@@ -78,11 +103,11 @@ def test_distributed_on_dataset(spark):
     expected = vfree(
         gfcore_local(g, p.tau_u, p.tau_v, p.lam), p.tau_u, p.tau_v, p.lam
     )
-    got = enumerate_mfg_distributed(
-        edges_from_pandas(spark, pdf), p.tau_u, p.tau_v, p.lam
-    )
-    assert got == expected
-    assert len(got) > 0  # planted groups guarantee non-trivial output
+    edges = edges_from_pandas(spark, pdf)
+    for fanout_s in fanout_ends:
+        got = enumerate_mfg_distributed(edges, p.tau_u, p.tau_v, p.lam)
+        assert got == expected, fanout_s
+        assert len(got) > 0  # planted groups guarantee non-trivial output
 
 
 def test_distributed_without_graph_filter(spark):
@@ -203,9 +228,10 @@ def test_edges_from_pandas_rejects_unsigned_values_above_int64(spark):
 # ----------------------------------------------------------------------
 
 #: Spark jobs of one call on a graph under the budget, with adaptive query
-#: execution off: the raw collect and the fan-out. A Spark peel adds the
-#: distinct count, one job per round and the collect of the core.
-UNDER_BUDGET_JOBS = 2
+#: execution off, per ``FANOUT_S``: the raw collect, plus the fan-out when
+#: any root is shipped. A Spark peel adds the distinct count, one job per
+#: round and the collect of the core.
+UNDER_BUDGET_JOBS = {0: 2, math.inf: 1}
 
 
 @pytest.fixture()
@@ -303,37 +329,89 @@ def test_collected_core_equals_local_and_spark_core(
 
 @pytest.mark.parametrize("case", sorted(CUT_OVER_CASES))
 def test_over_budget_call_equals_sequential(
-    spark, monkeypatch, fixed_plans, local_peels, case
+    spark, monkeypatch, fixed_plans, local_peels, fanout_ends, case
 ):
     """Budget one under the input: Spark peels, the driver does not."""
     pdf, params = CUT_OVER_CASES[case]()
     g = TemporalBipartiteIndex.from_pandas(pdf)
     _force_budget(monkeypatch, len(g) - 1)
     edges = edges_from_pandas(spark, pdf)
-    with job_group(spark, f"over-budget-{case}") as jobs:
-        got = enumerate_mfg_distributed(edges, *params)
-    assert got == vfree(gfcore_local(g, *params), *params)
-    assert got or case == "random"
-    assert local_peels == []
-    assert len(jobs) > UNDER_BUDGET_JOBS  # Spark peel rounds ran
+    for fanout_s in fanout_ends:
+        with job_group(spark, f"over-budget-{case}-{fanout_s}") as jobs:
+            got = enumerate_mfg_distributed(edges, *params)
+        assert got == vfree(gfcore_local(g, *params), *params), fanout_s
+        assert got or case == "random"
+        assert local_peels == []
+        # Spark peel rounds ran
+        assert len(jobs) > UNDER_BUDGET_JOBS[fanout_s], fanout_s
 
 
 @pytest.mark.parametrize("case", ["figure2", "random"])
-def test_under_budget_call_runs_two_jobs(spark, fixed_plans, local_peels, case):
+def test_under_budget_call_runs_two_jobs(
+    spark, fixed_plans, local_peels, fanout_ends, case
+):
     """A graph under the budget is collected raw and peeled on the driver:
-    no Spark peel round runs."""
+    no Spark peel round runs. The fan-out is the second job, and runs only
+    when roots are shipped."""
     pdf, params = CUT_OVER_CASES[case]()
     g = TemporalBipartiteIndex.from_pandas(pdf)
     edges = edges_from_pandas(spark, pdf)
-    with job_group(spark, f"under-budget-{case}") as jobs:
-        got = enumerate_mfg_distributed(edges, *params)
-    assert got == vfree(gfcore_local(g, *params), *params)
-    assert len(jobs) == UNDER_BUDGET_JOBS
-    assert local_peels == [len(g)]  # the whole raw graph, on the driver
+    for fanout_s in fanout_ends:
+        local_peels.clear()
+        with job_group(spark, f"under-budget-{case}-{fanout_s}") as jobs:
+            got = enumerate_mfg_distributed(edges, *params)
+        assert got == vfree(gfcore_local(g, *params), *params), fanout_s
+        assert len(jobs) == UNDER_BUDGET_JOBS[fanout_s], fanout_s
+        assert local_peels == [len(g)]  # the whole raw graph, on the driver
+
+
+@pytest.mark.parametrize("stop", [1, 5])
+def test_driver_stops_between_roots_and_ships_the_rest(
+    spark, monkeypatch, fixed_plans, stop
+):
+    """A clock that reads 0, 1, 2, ... s and ``FANOUT_S = stop + 0.5``: the
+    driver searches ranks ``[0, stop)``, reading the clock before each root,
+    and the fan-out runs one task per share of the ``|V| − stop`` ranks
+    left, at most ``defaultParallelism``. The driver's groups are moved
+    aside as it returns, so the call's result is the fan-out's alone."""
+    clock = iter(range(10**6))
+    monkeypatch.setattr(
+        distributed, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    monkeypatch.setattr(distributed, "FANOUT_S", stop + 0.5)
+    stops, driver_part = [], {}
+
+    def recording(core, tau_u, tau_v, lam, groups):
+        k = search_on_driver(core, tau_u, tau_v, lam, groups)
+        stops.append(k)
+        driver_part.update(groups)
+        groups.clear()
+        return k
+
+    search_on_driver = distributed._search_on_driver
+    monkeypatch.setattr(distributed, "_search_on_driver", recording)
+    pdf, params = _random_case()
+    core = gfcore_local(TemporalBipartiteIndex.from_pandas(pdf), *params)
+    n_v = len(core.v_ids)
+    edges = edges_from_pandas(spark, pdf)
+    with job_group(spark, f"driver-stop-{stop}") as jobs:
+        shipped = enumerate_mfg_distributed(edges, *params)
+    assert stops == [stop] and stop < n_v
+    assert driver_part == vfree(core, *params, roots=slice(0, stop))
+    assert shipped == vfree(core, *params, roots=slice(stop, None))
+    assert driver_part and shipped
+    assert {**driver_part, **shipped} == vfree(core, *params)
+    tracker = spark.sparkContext.statusTracker()
+    assert len(jobs) == 2
+    fanout = tracker.getJobInfo(max(jobs))
+    tasks = sum(tracker.getStageInfo(s).numTasks for s in fanout.stageIds)
+    assert tasks == min(spark.sparkContext.defaultParallelism, n_v - stop)
 
 
 @pytest.mark.parametrize("budget", ["default", "zero"])
-def test_duplicate_rows_do_not_change_the_groups(spark, monkeypatch, budget):
+def test_duplicate_rows_do_not_change_the_groups(
+    spark, monkeypatch, fanout_ends, budget
+):
     """A third of the rows repeated, peeled on the driver (``default``) or
     by Spark (``zero``)."""
     g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
@@ -344,7 +422,8 @@ def test_duplicate_rows_do_not_change_the_groups(spark, monkeypatch, budget):
         _force_budget(monkeypatch, 0)
     expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
     assert expected
-    assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected
+    for fanout_s in fanout_ends:
+        assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected, fanout_s
 
 
 def test_empty_input_gives_no_groups(spark):

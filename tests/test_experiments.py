@@ -2,6 +2,7 @@
 qualitative claims."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -64,7 +65,8 @@ class TestTable1:
 
     def test_format_cm_seconds_to_three_significant_digits(self):
         """A sub-0.1 s CM time keeps three significant digits, not two
-        decimals."""
+        decimals; trailing zeros stay, and a value of 100 s or more prints
+        as a whole number."""
         row = Table1Row(
             params=(9, 5, 8), filterv_cm_pct=94.66, filterv_cm_s=1.134,
             vfree_cm_s=0.0934, filterv_wall_s=1.2, vfree_wall_s=0.2,
@@ -73,6 +75,10 @@ class TestTable1:
         lines = format_table1([row]).splitlines()
         assert lines[3] == "FilterV-CM (s) [measured] | 1.13s"
         assert lines[5] == "VFree-CM (s) [measured] | 0.0934s"
+        row = dataclasses.replace(row, filterv_cm_s=123.4, vfree_cm_s=0.150)
+        lines = format_table1([row]).splitlines()
+        assert lines[3] == "FilterV-CM (s) [measured] | 123s"
+        assert lines[5] == "VFree-CM (s) [measured] | 0.150s"
 
 
 class TestTable2:

@@ -1,16 +1,18 @@
-"""VFree-specific behavior: rooted partitioning, order handling, timers,
-the covered-outsider prune, the closure jump and the τ_V capacity bound."""
+"""VFree-specific behavior: rooted partitioning, the driver's stopped
+prefix plus offset shares, order handling, timers, the covered-outsider
+prune, the closure jump and the τ_V capacity bound."""
 from __future__ import annotations
 
 import pytest
 
 from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.gfcore import gfcore_local
-from repro.core.vfree import vfree
+from repro.core.vfree import _search_roots, vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
 from repro.graph.stats import degree_order_v
+from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
 
@@ -46,6 +48,72 @@ class TestRootedPartition:
     def test_roots_past_the_last_rank_are_empty(self, fig2):
         n = len(fig2.v_ids)
         assert vfree(fig2, 2, 2, 3, roots=slice(n, None)) == {}
+
+
+def _figure2_core():
+    g = TemporalBipartiteIndex.from_pandas(figure2_edges())
+    return gfcore_local(g, 2, 2, 3), (2, 2, 3)
+
+
+def _random_core(seed):
+    g = random_temporal_graph(seed, n_u=6, n_v=8, n_t=5, density=0.45)
+    return gfcore_local(g, 2, 2, 2), (2, 2, 2)
+
+
+def _d14_core():
+    p = datasets.SPECS["D14"].params
+    g = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=0.1))
+    params = (p.tau_u, p.tau_v, p.lam)
+    return gfcore_local(g, *params), params
+
+
+SPLIT_CASES = {
+    "figure2": _figure2_core,
+    "random-0": lambda: _random_core(0),
+    "random-4": lambda: _random_core(4),
+    "D14": _d14_core,
+}
+
+COUNTERS = ("evaluations", "pruned", "closed", "bounded")
+
+
+class TestDriverSplit:
+    """The distributed path's split: the driver resumes ``_search_roots``
+    until it yields rank ``k`` and stops; the shares
+    ``slice(k + i, None, n)`` search the rest. For every ``k`` and ``n``
+    the parts partition ``vfree(core)`` and do its work exactly once."""
+
+    @staticmethod
+    def _driver_prefix(core, params, k, timers):
+        groups = {}
+        for r in _search_roots(core, *params, groups, timers=timers):
+            if r == k:
+                break
+        return groups
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_prefix_and_offset_shares_partition_the_result(self, case):
+        core, params = SPLIT_CASES[case]()
+        full_timers = {}
+        full = vfree(core, *params, timers=full_timers)
+        assert full
+        for k in range(len(core.v_ids) + 1):
+            prefix_timers = {}
+            prefix = self._driver_prefix(core, params, k, prefix_timers)
+            assert prefix == vfree(core, *params, roots=slice(0, k)), k
+            for n in (1, 2, 3):
+                merged, timers = dict(prefix), dict(prefix_timers)
+                for i in range(n):
+                    share = vfree(
+                        core, *params, roots=slice(k + i, None, n), timers=timers
+                    )
+                    for vs, supp in share.items():
+                        assert vs not in merged, (k, n, i)
+                        merged[vs] = supp
+                assert merged == full, (k, n)
+                assert [timers[c] for c in COUNTERS] == [
+                    full_timers[c] for c in COUNTERS
+                ], (k, n)
 
 
 class TestOrdering:
