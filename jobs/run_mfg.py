@@ -25,8 +25,8 @@ def main() -> None:
         "--distributed",
         action="store_true",
         help="run the distributed path (vfree only): the driver searches "
-        "roots for up to the fan-out's fixed cost, then a Spark fan-out "
-        "searches the roots left",
+        "the top-ranked roots for up to the fan-out's fixed cost, then a "
+        "Spark fan-out searches the roots left",
     )
     args = ap.parse_args()
     if args.distributed and args.algorithm != "vfree":

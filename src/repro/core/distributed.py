@@ -9,19 +9,21 @@ Pipeline (DESIGN.md §2 "Layering note"):
    graph is peeled by ``gfcore_spark`` to the fixpoint and its core is
    collected. The peel fixpoint is unique (Lemma 3.1 and
    :mod:`repro.core.gfcore`), so both give the same core.
-2. The driver searches VFree's top-level branches in rank order 0, 1, 2,
-   ... and stops between roots once it has spent ``FANOUT_S``, the
-   fan-out's fixed cost. A search that ends within it returns with no
-   broadcast and no fan-out job.
-3. Otherwise the ranks ``k, k + 1, ...`` that are left go to
-   ``n = min(defaultParallelism, |V| − k)`` tasks over the broadcast core:
-   task ``i`` runs ``vfree(core, ..., roots=slice(k + i, None, n))``, the
-   roots of rank ``k + i``, ``k + i + n``, ... . VFree's ``notRepeat``
-   rule makes top-level branches independent and duplicate-free: the MFG
-   whose minimum rank is ``r`` is emitted exactly once, by branch ``r``.
-   Every task orders the same broadcast core as the driver, so the
-   driver's groups and the shares' groups together are the sequential
-   result.
+2. The driver searches VFree's top-level branches from the top rank down,
+   |V| − 1, |V| − 2, ..., and stops between roots once it has spent
+   ``FANOUT_S``, the fan-out's fixed cost. A search that ends within it
+   returns with no broadcast and no fan-out job. The top ranks have the
+   fewest higher-rank candidates, so their branches are the cheapest and
+   the driver overruns ``FANOUT_S`` by little: by at most the one branch
+   it is in when the time is up.
+3. Otherwise the ranks ``0, 1, ..., k − 1`` that are left go to
+   ``n = min(defaultParallelism, k)`` tasks over the broadcast core: task
+   ``i`` runs ``vfree(core, ..., roots=slice(i, k, n))``, the roots of
+   rank ``i``, ``i + n``, ... below ``k``. VFree's ``notRepeat`` rule
+   makes top-level branches independent and duplicate-free: the MFG whose
+   minimum rank is ``r`` is emitted exactly once, by branch ``r``. Every
+   task orders the same broadcast core as the driver, so the driver's
+   groups and the shares' groups together are the sequential result.
 """
 from __future__ import annotations
 
@@ -48,7 +50,9 @@ HEAP_BYTES_PER_EDGE = 256
 #: fan-out of ``local[2]`` took 0.358 s (IQR 0.342–0.401) and a no-op
 #: two-task ``mapPartitions`` job 0.23–0.31 s, most of it pyspark's
 #: per-task ``importlib.invalidate_caches`` (DESIGN.md §2). A search that
-#: ends within this time costs less than the fan-out would.
+#: ends within this time costs less than the fan-out would. The deadline
+#: is checked between roots, so the driver can run past it by the branch
+#: it is in; it searches the cheap top ranks, so that branch is short.
 FANOUT_S = 0.3
 #: The largest row count ``DataFrame.limit`` takes (a JVM ``int``), less one.
 _MAX_LIMIT = 2**31 - 2
@@ -120,7 +124,7 @@ def enumerate_mfg_distributed(
         core = TemporalBipartiteIndex.from_pandas(edges.toPandas())
     groups: Dict[FrozenSet[int], Set[int]] = {}
     k = _search_on_driver(core, tau_u, tau_v, lam, groups)
-    n = min(sc.defaultParallelism, len(core.v_ids) - k)
+    n = min(sc.defaultParallelism, k)
     if n == 0:
         return groups
     b_core = sc.broadcast(core)
@@ -128,7 +132,7 @@ def enumerate_mfg_distributed(
     def run_shares(shares):
         for i in shares:
             share = vfree(
-                b_core.value, tau_u, tau_v, lam, roots=slice(k + i, None, n)
+                b_core.value, tau_u, tau_v, lam, roots=slice(i, k, n)
             )
             for vs, supp in share.items():
                 yield tuple(vs), tuple(supp)
@@ -148,10 +152,12 @@ def _search_on_driver(
     lam: int,
     groups: Dict[FrozenSet[int], Set[int]],
 ) -> int:
-    """Search the roots of rank 0, 1, ... into ``groups`` until ``FANOUT_S``
-    seconds are spent; returns ``k``, the first rank not searched."""
+    """Search the roots of rank |V| − 1, |V| − 2, ... into ``groups`` until
+    ``FANOUT_S`` seconds are spent; returns ``k``, the number of ranks left:
+    the driver searched ``[k, |V|)``."""
     deadline = time.perf_counter() + FANOUT_S
-    for k in _search_roots(core, tau_u, tau_v, lam, groups):
+    top_down = slice(None, None, -1)
+    for r in _search_roots(core, tau_u, tau_v, lam, groups, roots=top_down):
         if time.perf_counter() >= deadline:
-            return k
-    return len(core.v_ids)
+            return r + 1
+    return 0

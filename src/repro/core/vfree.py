@@ -102,9 +102,9 @@ def vfree(
     order gives the same result. ``roots`` is a slice of that order: the
     top level searches only the branches rooted at those ranks. The default
     ``slice(None)`` searches all of them; for any ``k`` and ``n``, the
-    prefix ``slice(0, k)`` and the shares ``slice(k + i, None, n)``,
-    ``i < n``, partition the full result (the driver's part and the
-    distributed tasks' parts).
+    suffix ``slice(k, None)`` and the shares ``slice(i, k, n)``, ``i < n``,
+    partition the full result (the driver's part and the distributed
+    tasks' parts).
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM": the
     ``cand_U`` stamp and its restore count as maintenance), including

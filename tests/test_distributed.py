@@ -365,19 +365,45 @@ def test_under_budget_call_runs_two_jobs(
         assert local_peels == [len(g)]  # the whole raw graph, on the driver
 
 
-@pytest.mark.parametrize("stop", [1, 5])
-def test_driver_stops_between_roots_and_ships_the_rest(
-    spark, monkeypatch, fixed_plans, stop
-):
-    """A clock that reads 0, 1, 2, ... s and ``FANOUT_S = stop + 0.5``: the
-    driver searches ranks ``[0, stop)``, reading the clock before each root,
-    and the fan-out runs one task per share of the ``|V| − stop`` ranks
-    left, at most ``defaultParallelism``. The driver's groups are moved
-    aside as it returns, so the call's result is the fan-out's alone."""
+def _ticking_clock(monkeypatch):
+    """``distributed.time.perf_counter`` reads 0, 1, 2, ... s."""
     clock = iter(range(10**6))
     monkeypatch.setattr(
         distributed, "time", SimpleNamespace(perf_counter=lambda: next(clock))
     )
+
+
+def test_driver_search_stops_between_roots_from_the_top(monkeypatch):
+    """Under a clock that reads 0, 1, 2, ... s and ``FANOUT_S = s + 0.5``,
+    the driver reads the clock once before each root, so it searches ``s``
+    roots from the top rank down and returns ``k = |V| − s``, the number
+    of ranks left. No Spark session is used."""
+    p = datasets.SPECS["D14"].params
+    params = (p.tau_u, p.tau_v, p.lam)
+    g = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=0.1))
+    core = gfcore_local(g, *params)
+    n_v = len(core.v_ids)
+    for s in range(n_v + 1):
+        _ticking_clock(monkeypatch)
+        monkeypatch.setattr(distributed, "FANOUT_S", s + 0.5)
+        groups = {}
+        k = distributed._search_on_driver(core, *params, groups)
+        assert k == n_v - s, s
+        assert groups == vfree(core, *params, roots=slice(k, None)), s
+
+
+@pytest.mark.parametrize("stop", [3, 5])
+def test_driver_stops_between_roots_and_ships_the_rest(
+    spark, monkeypatch, fixed_plans, stop
+):
+    """A clock that reads 0, 1, 2, ... s and ``FANOUT_S = stop + 0.5``: the
+    driver searches the ``stop`` top ranks, reading the clock before each
+    root, and the fan-out runs one task per share of the ``k = |V| − stop``
+    ranks left, at most ``defaultParallelism``. The driver's groups are
+    moved aside as it returns, so the call's result is the fan-out's
+    alone. The top ``τ_V − 1`` branches emit nothing, so ``stop`` ≥ 3
+    gives both parts groups."""
+    _ticking_clock(monkeypatch)
     monkeypatch.setattr(distributed, "FANOUT_S", stop + 0.5)
     stops, driver_part = [], {}
 
@@ -392,20 +418,20 @@ def test_driver_stops_between_roots_and_ships_the_rest(
     monkeypatch.setattr(distributed, "_search_on_driver", recording)
     pdf, params = _random_case()
     core = gfcore_local(TemporalBipartiteIndex.from_pandas(pdf), *params)
-    n_v = len(core.v_ids)
+    k = len(core.v_ids) - stop
     edges = edges_from_pandas(spark, pdf)
     with job_group(spark, f"driver-stop-{stop}") as jobs:
         shipped = enumerate_mfg_distributed(edges, *params)
-    assert stops == [stop] and stop < n_v
-    assert driver_part == vfree(core, *params, roots=slice(0, stop))
-    assert shipped == vfree(core, *params, roots=slice(stop, None))
+    assert stops == [k] and k > 0
+    assert driver_part == vfree(core, *params, roots=slice(k, None))
+    assert shipped == vfree(core, *params, roots=slice(0, k))
     assert driver_part and shipped
     assert {**driver_part, **shipped} == vfree(core, *params)
     tracker = spark.sparkContext.statusTracker()
     assert len(jobs) == 2
     fanout = tracker.getJobInfo(max(jobs))
     tasks = sum(tracker.getStageInfo(s).numTasks for s in fanout.stageIds)
-    assert tasks == min(spark.sparkContext.defaultParallelism, n_v - stop)
+    assert tasks == min(spark.sparkContext.defaultParallelism, k)
 
 
 @pytest.mark.parametrize("budget", ["default", "zero"])

@@ -1,13 +1,12 @@
-"""VFree-specific behavior: rooted partitioning, the driver's stopped
-prefix plus offset shares, order handling, timers, the covered-outsider
-prune, the closure jump and the τ_V capacity bound."""
+"""VFree-specific behavior: rooted partitioning, order handling, timers,
+the covered-outsider prune, the closure jump and the τ_V capacity bound."""
 from __future__ import annotations
 
 import pytest
 
 from repro.core.bruteforce import enumerate_mfg_bruteforce
 from repro.core.gfcore import gfcore_local
-from repro.core.vfree import _search_roots, vfree
+from repro.core.vfree import vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
@@ -16,28 +15,67 @@ from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
 
+def _figure2_core():
+    g = TemporalBipartiteIndex.from_pandas(figure2_edges())
+    return gfcore_local(g, 2, 2, 3), (2, 2, 3)
+
+
+def _d14_core():
+    p = datasets.SPECS["D14"].params
+    g = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=0.1))
+    params = (p.tau_u, p.tau_v, p.lam)
+    return gfcore_local(g, *params), params
+
+
+#: Graphs and their (τ_U, τ_V, λ): eight random graphs, and the Figure-2
+#: and D14 (sf=0.1) cores.
+SPLIT_CASES = {
+    **{
+        str(s): lambda s=s: (random_temporal_graph(s), (2, 2, 2))
+        for s in range(8)
+    },
+    "figure2": _figure2_core,
+    "D14": _d14_core,
+}
+
+COUNTERS = ("evaluations", "pruned", "closed", "bounded")
+
+
 class TestRootedPartition:
     """Theorem 4.1's branch independence: the branch rooted at ``r`` emits
     exactly the MFGs whose minimum-rank member is ``r``, so the rooted runs
     partition the full result."""
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_union_of_roots_equals_full(self, seed):
-        """Roots dealt round-robin in rank order into k batches, as the
-        distributed fan-out deals them; k = |V| is one root per call."""
-        g = random_temporal_graph(seed)
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_union_of_roots_equals_full(self, case):
+        """The distributed path's split, for every stop rank ``k``: the
+        suffix ``slice(k, None)``, searched on the driver, and the ranks
+        below ``k`` dealt round-robin in rank order into ``n`` shares
+        ``slice(i, k, n)``; at ``k = |V|``, ``n = |V|`` is one root per
+        share. The parts give the full result with no group twice, and
+        their counters add up to the full run's."""
+        g, params = SPLIT_CASES[case]()
+        n_v = len(g.v_ids)
         for reorder in (True, False):
-            full = vfree(g, 2, 2, 2, reorder_ids=reorder)
-            for k in sorted({1, 2, 3, len(g.v_ids)}):
-                merged = {}
-                for i in range(k):
-                    part = vfree(
-                        g, 2, 2, 2, reorder_ids=reorder, roots=slice(i, None, k)
-                    )
-                    for vs, supp in part.items():
-                        assert vs not in merged, "duplicate MFG across batches"
-                        merged[vs] = supp
-                assert merged == full, (reorder, k)
+            full_timers = {}
+            full = vfree(g, *params, reorder_ids=reorder, timers=full_timers)
+            assert full or case.isdigit()
+            for k in range(n_v + 1):
+                for n in (1, 2, 3, n_v) if k == n_v else (1, 2, 3):
+                    merged, timers = {}, {}
+                    parts = [slice(i, k, n) for i in range(n)]
+                    for roots in [slice(k, None)] + parts:
+                        part = vfree(
+                            g, *params, reorder_ids=reorder, roots=roots,
+                            timers=timers,
+                        )
+                        for vs, supp in part.items():
+                            assert vs not in merged, "duplicate MFG in parts"
+                            merged[vs] = supp
+                    assert merged == full, (reorder, k, n)
+                    assert [timers[c] for c in COUNTERS] == [
+                        full_timers[c] for c in COUNTERS
+                    ], (reorder, k, n)
 
     def test_root_branch_contains_min_member(self, fig2):
         for i, r in enumerate(fig2.v_ids.tolist()):
@@ -48,72 +86,6 @@ class TestRootedPartition:
     def test_roots_past_the_last_rank_are_empty(self, fig2):
         n = len(fig2.v_ids)
         assert vfree(fig2, 2, 2, 3, roots=slice(n, None)) == {}
-
-
-def _figure2_core():
-    g = TemporalBipartiteIndex.from_pandas(figure2_edges())
-    return gfcore_local(g, 2, 2, 3), (2, 2, 3)
-
-
-def _random_core(seed):
-    g = random_temporal_graph(seed, n_u=6, n_v=8, n_t=5, density=0.45)
-    return gfcore_local(g, 2, 2, 2), (2, 2, 2)
-
-
-def _d14_core():
-    p = datasets.SPECS["D14"].params
-    g = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=0.1))
-    params = (p.tau_u, p.tau_v, p.lam)
-    return gfcore_local(g, *params), params
-
-
-SPLIT_CASES = {
-    "figure2": _figure2_core,
-    "random-0": lambda: _random_core(0),
-    "random-4": lambda: _random_core(4),
-    "D14": _d14_core,
-}
-
-COUNTERS = ("evaluations", "pruned", "closed", "bounded")
-
-
-class TestDriverSplit:
-    """The distributed path's split: the driver resumes ``_search_roots``
-    until it yields rank ``k`` and stops; the shares
-    ``slice(k + i, None, n)`` search the rest. For every ``k`` and ``n``
-    the parts partition ``vfree(core)`` and do its work exactly once."""
-
-    @staticmethod
-    def _driver_prefix(core, params, k, timers):
-        groups = {}
-        for r in _search_roots(core, *params, groups, timers=timers):
-            if r == k:
-                break
-        return groups
-
-    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-    def test_prefix_and_offset_shares_partition_the_result(self, case):
-        core, params = SPLIT_CASES[case]()
-        full_timers = {}
-        full = vfree(core, *params, timers=full_timers)
-        assert full
-        for k in range(len(core.v_ids) + 1):
-            prefix_timers = {}
-            prefix = self._driver_prefix(core, params, k, prefix_timers)
-            assert prefix == vfree(core, *params, roots=slice(0, k)), k
-            for n in (1, 2, 3):
-                merged, timers = dict(prefix), dict(prefix_timers)
-                for i in range(n):
-                    share = vfree(
-                        core, *params, roots=slice(k + i, None, n), timers=timers
-                    )
-                    for vs, supp in share.items():
-                        assert vs not in merged, (k, n, i)
-                        merged[vs] = supp
-                assert merged == full, (k, n)
-                assert [timers[c] for c in COUNTERS] == [
-                    full_timers[c] for c in COUNTERS
-                ], (k, n)
 
 
 class TestOrdering:
