@@ -51,5 +51,5 @@ def bk_alg(
         results[:] = [r for r in results if not r < vs]
         results.append(vs)
 
-    expand(set(index.u_ids.tolist()), frozenset(), sorted(index.n_v))
+    expand(set(index.u_ids.tolist()), frozenset(), index.v_ids.tolist())
     return {vs: support_timestamps(index, vs, tau_u) for vs in results}

@@ -26,7 +26,7 @@ def enumerate_mfg_bruteforce(
     every kernel does, and when |V| exceeds :data:`MAX_V`.
     """
     check_params(tau_u, tau_v, lam)
-    vees: List[int] = sorted(index.n_v)
+    vees: List[int] = index.v_ids.tolist()
     if len(vees) > MAX_V:
         raise ValueError(
             f"brute force limited to |V| <= {MAX_V}, got {len(vees)}"

@@ -131,17 +131,14 @@ def enumerate_mfg_distributed(
 
     def run_shares(shares):
         for i in shares:
-            share = vfree(
-                b_core.value, tau_u, tau_v, lam, roots=slice(i, k, n)
-            )
-            for vs, supp in share.items():
-                yield tuple(vs), tuple(supp)
+            yield vfree(b_core.value, tau_u, tau_v, lam, roots=slice(i, k, n))
 
     try:
         out = sc.parallelize(range(n), n).mapPartitions(run_shares).collect()
     finally:
         b_core.destroy()
-    groups.update((frozenset(vs), set(supp)) for vs, supp in out)
+    for share in out:
+        groups.update(share)
     return groups
 
 

@@ -45,7 +45,7 @@ def filterv(
         timers = {}
     timers.setdefault("cm", 0.0)
 
-    all_v: List[int] = sorted(index.n_v)
+    all_v: List[int] = index.v_ids.tolist()
     all_t: FrozenSet[int] = frozenset(index.timestamps)
     # T(v) for Lemma 3.2, precomputed once.
     t_of: Dict[int, FrozenSet[int]] = {

@@ -49,24 +49,18 @@ Deviations from the pseudocode (documented in DESIGN.md):
 - the report step (line 40) additionally requires ``|V_S'| ≥ τ_V`` and
   ``|C_T'| ≥ λ`` — without them, groups too small to be a (τ_U, τ_V)-biclique
   V-side (or, when ``τ_V = 1``, infrequent singletons) would be emitted;
-- *covered-outsider prune*: a branch whose ``notRepeat`` is false does not
-  recurse when some frequent outsider ``v' ∉ V_S'`` of rank < v is adjacent
-  to all of ``cand_U'(t)`` at every ``t ∈ C_T'``. Every descendant only adds
-  ranks > v, so its ``C_T''`` and ``cand_U''(t)`` shrink and ``v'`` stays
-  frequent with it: ``notRepeat`` is false in the whole subtree, which can
-  report nothing. Because ``cnt_V[t][v'] ≤ |cand_U'(t)|`` and ``cnt_V`` is 0
-  outside ``C_T'``, "``v'`` covers" is the same as the column sum
-  ``Σ_t cnt_V[t][v']`` reaching ``|surv|``, the number of surviving
-  ``(t, u')`` pairs. Maximal-biclique and closed-itemset enumeration prune
-  the same way (iMBEA; LCM's prefix-preserving closure test);
-- *closure jump*: the higher-rank mirror of that prune, from the same
-  column sum. A candidate ``v' ∈ C_V*`` that covers is in every maximal
-  group below the branch: every ``X ⊇ V_S'`` there has
-  ``cand_U(X, t) ⊆ cand_U'(t) ⊆ Γ(v', t)``, so ``X ∪ {v'}`` has ``X``'s
-  support. It joins ``V_S'`` at once and VFree recurses only over the rest
-  of ``C_V*``. Closed vertices join ``V_S`` for the subtree like any
-  member; they restrict nothing at any ``t ∈ C_T'``, so the branch's stamp
-  already is the subtree's ``cand_U``;
+- *closure jump* (LCM's prefix-preserving closure extension): a candidate
+  ``v' ∈ C_V*`` that is adjacent to all of ``cand_U'(t)`` at every
+  ``t ∈ C_T'`` (it *covers*) is in every maximal group below the branch:
+  every ``X ⊇ V_S'`` there has ``cand_U(X, t) ⊆ cand_U'(t) ⊆ Γ(v', t)``, so
+  ``X ∪ {v'}`` has ``X``'s support. It joins ``V_S'`` at once and VFree
+  recurses only over the rest of ``C_V*``. Because
+  ``cnt_V[t][v'] ≤ |cand_U'(t)|`` and ``cnt_V`` is 0 outside ``C_T'``,
+  "``v'`` covers" is the same as the column sum ``Σ_t cnt_V[t][v']``
+  reaching ``|surv|``, the number of surviving ``(t, u')`` pairs. Closed
+  vertices join ``V_S`` for the subtree like any member; they restrict
+  nothing at any ``t ∈ C_T'``, so the branch's stamp already is the
+  subtree's ``cand_U``;
 - *τ_V capacity bound*: a group below a branch adds only members of
   ``C_V*``, each with ``cnt_V[t][c] ≥ τ_U`` at every ``t`` of its support.
   So a branch whose ``C_V*`` has τ_V − |V_S'| such members at fewer than
@@ -108,10 +102,9 @@ def vfree(
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM": the
     ``cand_U`` stamp and its restore count as maintenance), including
-    the column-sum test of the prune and the closure, and the capacity bound;
+    the closure's column-sum test and the capacity bound;
     ``timers["evaluations"]`` counts the candidate evaluations that reach
-    steps 3+4, ``timers["pruned"]`` the branches the covered-outsider prune
-    skips, ``timers["closed"]`` the vertices the closure jump adds and
+    steps 3+4, ``timers["closed"]`` the vertices the closure jump adds and
     ``timers["bounded"]`` the branches the τ_V capacity bound cuts.
     Raises ``ValueError`` unless every parameter is an integer ≥ 1.
     """
@@ -145,7 +138,6 @@ def _search_roots(
         timers = {}
     timers.setdefault("cm", 0.0)
     timers.setdefault("evaluations", 0)
-    timers.setdefault("pruned", 0)
     timers.setdefault("closed", 0)
     timers.setdefault("bounded", 0)
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
@@ -203,21 +195,16 @@ def _search_roots(
                 not_repeat = k == 0
                 hi_v = freq_v[k:]
                 if hi_v.shape[0] and size + hi_v.shape[0] >= tau_v:
-                    # One column-sum test: v' is adjacent to all of cand_U'
-                    # at every t ∈ C_T' iff its column sum of cnt_V is
-                    # |surv|, the most any column can reach.
-                    cov = cnt_v.reshape(n_t, n_v).take(freq_v, 1).sum(0)
+                    # Closure jump: v' of rank > v is adjacent to all of
+                    # cand_U' at every t ∈ C_T' iff its column sum of cnt_V
+                    # is |surv|, the most any column can reach. Such a v'
+                    # is in every maximal group below this branch; it
+                    # joins V_S'.
+                    cov = cnt_v.reshape(n_t, n_v).take(hi_v, 1).sum(0)
                     cov = cov == surv.shape[0]
-                    # Closure jump: a covering v' of rank > v is in every
-                    # maximal group below this branch; it joins V_S'.
-                    shut = hi_v[cov[k:]].tolist()
-                    cv_star = hi_v[~cov[k:]].tolist()
+                    shut = hi_v[cov].tolist()
+                    cv_star = hi_v[~cov].tolist()
                     timers["closed"] += len(shut)
-                    # Covered-outsider prune: a covering v' of rank < v
-                    # keeps notRepeat false in the whole subtree.
-                    if cv_star and cov[:k].any():
-                        cv_star = []
-                        timers["pruned"] += 1
                     # τ_V capacity bound: a group below this branch adds
                     # `need` or more members of C_V*, each qualified
                     # (cnt_V ≥ τ_U) at every t of its support, so λ
