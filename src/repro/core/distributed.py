@@ -66,12 +66,13 @@ def driver_edge_budget(sc: SparkContext) -> int:
     collected edge is ``EDGE_BYTES`` = 24 bytes, and the budget takes half
     of the cap. The driver heap, ``spark.driver.memory`` (default ``1g``),
     is divided by ``HEAP_BYTES_PER_EDGE``. At the defaults the heap bound
-    rules: 4,194,304 edges.
+    rules: 4,194,304 edges. Both settings are read and parsed by the live
+    JVM ``SparkConf``, one call each.
     """
-    conf, utils = sc.getConf(), sc._jvm.org.apache.spark.network.util.JavaUtils
-    heap = utils.byteStringAsMb(conf.get("spark.driver.memory", "1g")) << 20
+    conf = sc._conf._jconf
+    heap = conf.getSizeAsMb("spark.driver.memory", "1g") << 20
     budget = min(heap // HEAP_BYTES_PER_EDGE, _MAX_LIMIT)
-    cap = utils.byteStringAsBytes(conf.get("spark.driver.maxResultSize", "1g"))
+    cap = conf.getSizeAsBytes("spark.driver.maxResultSize", "1g")
     return min(budget, cap // (2 * EDGE_BYTES)) if cap > 0 else budget
 
 

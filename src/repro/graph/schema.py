@@ -7,6 +7,9 @@ DataFrame of distinct temporal edges with columns
 - ``v``  (long)  — vertex id on the V side,
 - ``t``  (long)  — integer interaction timestamp (paper §2.1, footnote 1).
 
+``edges_from_pandas`` builds the columns as long; ``validate_edges`` takes
+any integral type.
+
 U-ids and V-ids live in separate namespaces (``u = 3`` and ``v = 3`` are
 different vertices), matching the paper's disjoint vertex sets.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
 from repro.graph.index import edge_columns
@@ -46,13 +48,16 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
 
 
 def validate_edges(edges: DataFrame) -> DataFrame:
-    """Validate an edge DataFrame's shape; returns the projected frame.
+    """Validate an edge DataFrame's shape; returns it with columns ``u, v, t``.
 
     Raises ``ValueError`` when a required column is missing, repeated or not
     of an integral type, as :func:`repro.graph.index.edge_columns` does for a
     pandas frame; the check reads the schema only, so it runs no Spark job.
-    Casting to the canonical long types is applied so downstream joins never
-    mix int32/int64.
+    A frame whose columns are exactly ``u, v, t`` is returned as it is;
+    any other is selected down to them by name. No column is cast: the
+    driver widens the collected columns to int64 in ``edge_columns``, and
+    a cast projection would make Catalyst evaluate it on every row of a
+    local frame each time the frame is planned (DESIGN.md §2).
     """
     missing = [c for c in EDGE_COLUMNS if c not in edges.columns]
     if missing:
@@ -67,4 +72,6 @@ def validate_edges(edges: DataFrame) -> DataFrame:
     }
     if bad:
         raise ValueError(f"edge columns must be integer, got {bad}")
-    return edges.select(*(F.col(c).cast(LongType()).alias(c) for c in EDGE_COLUMNS))
+    if tuple(edges.columns) == EDGE_COLUMNS:
+        return edges
+    return edges.select(*EDGE_COLUMNS)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import SparkConf
 from pyspark.sql import functions as F
 
 from repro.core import distributed
@@ -16,7 +17,7 @@ from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.vfree import vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
-from repro.graph.schema import edges_from_pandas
+from repro.graph.schema import EDGE_COLUMNS, edges_from_pandas, validate_edges
 from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
@@ -299,12 +300,13 @@ CUT_OVER_CASES = {
 def test_driver_edge_budget(spark, memory, cap, budget):
     """The heap at 256 bytes per edge, or half the collect cap at 24 bytes
     per edge, whichever is smaller; always finite."""
-    conf = {"spark.driver.memory": memory, "spark.driver.maxResultSize": cap}
-    sc = SimpleNamespace(
-        getConf=lambda: {k: v for k, v in conf.items() if v is not None},
-        _jvm=spark.sparkContext._jvm,
-    )
-    assert driver_edge_budget(sc) == budget
+    conf = SparkConf(loadDefaults=False, _jvm=spark.sparkContext._jvm)
+    for key, value in (
+        ("spark.driver.memory", memory), ("spark.driver.maxResultSize", cap)
+    ):
+        if value is not None:
+            conf.set(key, value)
+    assert driver_edge_budget(SimpleNamespace(_conf=conf)) == budget
 
 
 @pytest.mark.parametrize("budget", ["fits", "one under", "zero"])
@@ -455,3 +457,55 @@ def test_duplicate_rows_do_not_change_the_groups(
 def test_empty_input_gives_no_groups(spark):
     empty = spark.createDataFrame([], "u long, v long, t long")
     assert enumerate_mfg_distributed(empty, 2, 2, 2) == {}
+
+
+# ----------------------------------------------------------------------
+# The caller's frame is collected as it is: no cast projection
+# ----------------------------------------------------------------------
+
+
+def _narrow_frame(spark, pdf):
+    """``pdf``'s edges as ``t`` tinyint, ``w`` string, ``v`` smallint and
+    ``u`` int, in that order: narrow integral types, the edge columns out
+    of order, and an extra column."""
+    rows = [
+        (t, f"w{i}", v, u)
+        for i, (u, v, t) in enumerate(pdf[list(EDGE_COLUMNS)].itertuples(False))
+    ]
+    return spark.createDataFrame(rows, "t tinyint, w string, v smallint, u int")
+
+
+@pytest.mark.parametrize("budget", ["default", "zero"])
+def test_narrow_reordered_frame_gives_the_sequential_groups(
+    spark, monkeypatch, fanout_ends, budget
+):
+    """The driver peel (``default``) and the Spark peel (``zero``) read the
+    narrow columns by name, and the driver widens them to int64."""
+    pdf, params = _random_case()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    narrow = _narrow_frame(spark, pdf)
+    if budget == "zero":
+        _force_budget(monkeypatch, 0)
+    expected = vfree(gfcore_local(g, *params), *params)
+    assert expected
+    for fanout_s in fanout_ends:
+        assert enumerate_mfg_distributed(narrow, *params) == expected, fanout_s
+
+
+def test_validate_edges_returns_a_u_v_t_frame_as_it_is(spark):
+    edges = edges_from_pandas(spark, figure2_edges())
+    assert validate_edges(edges) is edges
+
+
+def test_validate_edges_selects_u_v_t_by_name_without_a_cast(spark):
+    """An extra column is dropped and reordered columns are put in order;
+    each column keeps its own integral type."""
+    pdf = figure2_edges()
+    narrow = _narrow_frame(spark, pdf)
+    for frame in (narrow, narrow.select("v", "u", "t")):
+        got = validate_edges(frame)
+        assert got.columns == ["u", "v", "t"]
+        types = [f.dataType.simpleString() for f in got.schema.fields]
+        assert types == ["int", "smallint", "tinyint"]
+    rows = sorted(map(tuple, got.toPandas().values.tolist()))
+    assert rows == sorted(map(tuple, pdf[list(EDGE_COLUMNS)].values.tolist()))

@@ -220,13 +220,13 @@ def _sweep(density, params, sizes):
     return totals
 
 
-class TestCoveredOutsiderPrune:
+class TestCoveredBranches:
     """A branch that a frequent outsider of lower rank covers (adjacent to
     all of ``cand_U'`` at every survived timestamp) is searched like any
     other; ``notRepeat`` stays false below it, so it reports nothing."""
 
     @pytest.mark.parametrize("reorder", [True, False])
-    def test_twin_branch_is_pruned(self, reorder):
+    def test_twin_branch_ends_by_the_closure_jump(self, reorder):
         """Branch v11, which v10 covers, ends without recursing: the
         closure jump closes v12, which leaves no candidate. The evaluations
         are {v10} (closing v11 and v12), {v11} (closing v12) and {v12}."""
