@@ -7,8 +7,11 @@ Per search node ``(U_S, V_S, C_V, X_V)``:
 2. *Valid candidate set*: keep ``v`` with ``V_S ∪ {v}`` frequent — verified
    by CheckFRE (Algorithm 3) or, for the -VM variants, the naive method.
 3. Size pruning (Algorithm 1 line 10), leaf maximality via Lemma 3.3
-   (``C_V* = ∅`` and no ``x ∈ X_V`` frequently extends ``V_S`` — X_V is
-   first shrunk by the candidate filter, then each survivor verified).
+   (``C_V* = ∅`` and no ``x ∈ X_V`` frequently extends ``V_S``).
+
+Steps 1, 2 and the leaf test are one extension test, run on each ``v`` of
+``C_V`` and, at a leaf, on each ``x`` of ``X_V``: the candidate filter,
+``|U_S ∩ N(x)| ≥ τ_U`` and the frequency check of ``V_S ∪ {x}``.
 
 Toggles produce the paper's ablation variants:
 
@@ -18,7 +21,8 @@ Toggles produce the paper's ablation variants:
 
 ``timers`` (optional dict) accumulates the Table-1 instrumentation:
 ``timers["cm"]`` is the time spent computing valid candidate sets plus
-verifying maximality (the paper's "FilterV-CM").
+verifying maximality (the paper's "FilterV-CM"), and
+``timers["verifications"]`` counts the frequency checks of ``V_S ∪ {x}``.
 """
 from __future__ import annotations
 
@@ -44,20 +48,29 @@ def filterv(
     if timers is None:
         timers = {}
     timers.setdefault("cm", 0.0)
+    timers.setdefault("verifications", 0)
 
     all_v: List[int] = index.v_ids.tolist()
-    all_t: FrozenSet[int] = frozenset(index.timestamps)
+    all_t: FrozenSet[int] = frozenset(index.t_ids.tolist())
     # T(v) for Lemma 3.2, precomputed once.
     t_of: Dict[int, FrozenSet[int]] = {
         v: index.t_of_v(v, tau_u) for v in all_v
     }
+    verify = check_fre if use_array_verification else is_frequent_naive
     results: Dict[FrozenSet[int], Set[int]] = {}
 
-    def verify(new_vs: FrozenSet[int]) -> bool:
-        """Frequency check for V_S ∪ {v}."""
-        if use_array_verification:
-            return check_fre(index, new_vs, tau_u, lam)
-        return is_frequent_naive(index, new_vs, tau_u, lam)
+    def extend(
+        us: Set[int], vs: FrozenSet[int], tset: FrozenSet[int], x: int
+    ) -> Optional[Set[int]]:
+        """``U_S ∩ N(x)`` if ``V_S ∪ {x}`` passes the candidate filter, has
+        τ_U common s-neighbors and is frequent; ``None`` otherwise."""
+        if use_candidate_filter and len(tset & t_of[x]) < lam:
+            return None
+        nus = us & index.s_neighbors_v(x)
+        if len(nus) < tau_u:
+            return None
+        timers["verifications"] += 1
+        return nus if verify(index, vs | {x}, tau_u, lam) else None
 
     def enum(
         us: Set[int],
@@ -68,15 +81,8 @@ def filterv(
     ) -> None:
         # ---- valid candidate set computation (timed: Table 1 "CM") ----
         t0 = time.perf_counter()
-        if use_candidate_filter:
-            cand = [c for c in cand if len(tset & t_of[c]) >= lam]
-        cv_star: List[int] = []
-        star_us: Dict[int, Set[int]] = {}
-        for v in cand:
-            nus = us & index.s_neighbors_v(v)
-            if len(nus) >= tau_u and verify(vs | {v}):
-                cv_star.append(v)
-                star_us[v] = nus
+        star_us = {v: extend(us, vs, tset, v) for v in cand}
+        cv_star = [v for v in cand if star_us[v] is not None]
         timers["cm"] += time.perf_counter() - t0
 
         if len(us) < tau_u or len(vs) + len(cv_star) < tau_v:
@@ -84,26 +90,16 @@ def filterv(
         if not cv_star:
             # ---- maximality verification (timed: Table 1 "CM") ----
             t0 = time.perf_counter()
-            maximal = True
-            for x in xv:
-                if x in vs:
-                    continue
-                if use_candidate_filter and len(tset & t_of[x]) < lam:
-                    continue
-                nus = us & index.s_neighbors_v(x)
-                if len(nus) >= tau_u and verify(vs | {x}):
-                    maximal = False
-                    break
+            maximal = all(extend(us, vs, tset, x) is None for x in xv)
             timers["cm"] += time.perf_counter() - t0
             if maximal and len(vs) >= tau_v:
                 results[vs] = support_timestamps(index, vs, tau_u)
             return
-        rest = list(cv_star)
-        child_xv = list(xv)
-        for v in cv_star:
-            rest.remove(v)
-            enum(star_us[v], vs | {v}, list(rest), child_xv, tset & t_of[v])
-            child_xv.append(v)
+        for i, v in enumerate(cv_star):
+            enum(
+                star_us[v], vs | {v}, cv_star[i + 1 :], xv + cv_star[:i],
+                tset & t_of[v],
+            )
 
     enum(set(index.u_ids.tolist()), frozenset(), all_v, [], all_t)
     return results

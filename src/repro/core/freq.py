@@ -63,7 +63,7 @@ def is_frequent_naive(
     if not vs:
         return False
     count = 0
-    for t in index.timestamps:
+    for t in index.t_ids.tolist():
         # "Compute the common m-neighbors of V_S ∪ {v}" — the full
         # intersection chain, per timestamp (stopping only when it is
         # already empty), then test the τ_U threshold.

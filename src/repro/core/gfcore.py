@@ -78,34 +78,31 @@ def gfcore_spark(edges: DataFrame, tau_u: int, tau_v: int, lam: int) -> DataFram
 
     Each round computes ``δ(u,t)``, ``δ(v,t)`` and ``v``'s snapshot count
     (``size(collect_set(t))``: Spark has no windowed ``COUNT(DISTINCT)``)
-    as window aggregates in one projection, and drops every violating edge
-    at once, as :func:`gfcore_local` does; rounds repeat until the edge
-    count is stable (the peel fixpoint). Each round's frame is a lazy
-    ``localCheckpoint`` that the round's ``count()`` materializes, so a
-    round is one Spark job and the plan does not grow with the iteration
-    count. No round cap is needed: the edge count never grows, so the
-    rounds end within ``|E| + 1``. Raises ``ValueError`` before any Spark
-    job for a parameter that is not an integer ≥ 1.
+    as window aggregates in one projection of SQL expression strings, and
+    drops every violating edge at once, as :func:`gfcore_local` does (no
+    ``Column`` object is built: in pyspark 4.1 the first ``functions.col``
+    of a process imports some 500 modules, IPython among them); rounds
+    repeat until the edge count is stable (the peel fixpoint). Each round's
+    frame is a lazy ``localCheckpoint`` that the round's ``count()``
+    materializes, so a round is one Spark job and the plan does not grow
+    with the iteration count. No round cap is needed: the edge count never
+    grows, so the rounds end within ``|E| + 1``. Raises ``ValueError``
+    before any Spark job for a parameter that is not an integer ≥ 1.
     """
-    from pyspark.sql import functions as F
-    from pyspark.sql.window import Window
-
     check_params(tau_u, tau_v, lam)
     e = edges.select("u", "v", "t").distinct().localCheckpoint(eager=False)
     n, n_prev = e.count(), None
     while n not in (0, n_prev):
         e = (
-            e.select(
+            e.selectExpr(
                 "u", "v", "t",
-                F.count("*").over(Window.partitionBy("u", "t")).alias("d_ut"),
-                F.count("*").over(Window.partitionBy("v", "t")).alias("d_vt"),
-                F.size(F.collect_set("t").over(Window.partitionBy("v")))
-                .alias("s_v"),
+                "count(*) over (partition by u, t) as d_ut",
+                "count(*) over (partition by v, t) as d_vt",
+                "size(collect_set(t) over (partition by v)) as s_v",
             )
             .where(
-                (F.col("d_ut") >= int(tau_v))
-                & (F.col("d_vt") >= int(tau_u))
-                & (F.col("s_v") >= int(lam))
+                f"d_ut >= {int(tau_v)} and d_vt >= {int(tau_u)}"
+                f" and s_v >= {int(lam)}"
             )
             .select("u", "v", "t")
             .localCheckpoint(eager=False)

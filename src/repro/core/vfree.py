@@ -167,76 +167,72 @@ def _search_roots(
         for v in cand:
             t0 = time.perf_counter()
             in_vs[v] = True
-            cv_star: List[int] = []
-            shut: List[int] = []  # closed at this branch
-            not_repeat = True
             # Step 1: ascertain from U — v's edges at (t, u ∈ cand_U), t ∈ C_T.
             keys = tu[lo[v] : hi[v]]
             covered = keys[level[keys] == depth]
             # Step 2: termination check / survived timestamps.
             tt = covered // n_u
-            cu_count = np.bincount(tt, minlength=n_t)
-            ct_new = cu_count >= tau_u
-            n_ct = int(np.count_nonzero(ct_new))
-            if n_ct >= lam:
-                # Steps 3+4: reverse-ascertain from V — gather Γ(u',t) of
-                # every surviving (t,u') — then survived-timestamp counting.
-                surv = covered[ct_new[tt]]
-                stop = g_off[surv + 1]
-                lens = stop - g_off[surv]
-                gather = np.repeat(stop - np.cumsum(lens), lens)
-                gather += np.arange(gather.shape[0])
-                cnt_v = np.bincount(g_key[gather], minlength=n_t * n_v)
-                qual = np.flatnonzero(cnt_v >= tau_u)  # qualified (t, v')
-                cnt_t = np.bincount(qual % n_v, minlength=n_v)
-                freq_v = np.flatnonzero(cnt_t >= lam)
-                freq_v = freq_v[~in_vs[freq_v]]
-                k = int(freq_v.searchsorted(v))  # outsiders of rank < v
-                not_repeat = k == 0
-                hi_v = freq_v[k:]
-                if hi_v.shape[0] and size + hi_v.shape[0] >= tau_v:
-                    # Closure jump: v' of rank > v is adjacent to all of
-                    # cand_U' at every t ∈ C_T' iff its column sum of cnt_V
-                    # is |surv|, the most any column can reach. Such a v'
-                    # is in every maximal group below this branch; it
-                    # joins V_S'.
-                    cov = cnt_v.reshape(n_t, n_v).take(hi_v, 1).sum(0)
-                    cov = cov == surv.shape[0]
-                    shut = hi_v[cov].tolist()
-                    cv_star = hi_v[~cov].tolist()
-                    timers["closed"] += len(shut)
-                    # τ_V capacity bound: a group below this branch adds
-                    # `need` or more members of C_V*, each qualified
-                    # (cnt_V ≥ τ_U) at every t of its support, so λ
-                    # timestamps must each qualify `need` of them. Every
-                    # member is frequent: need = 1 can never cut.
-                    need = tau_v - size - len(shut)
-                    if cv_star and need > 1:
-                        fit = cnt_v.reshape(n_t, n_v).take(cv_star, 1) >= tau_u
-                        fit = np.count_nonzero(fit, 1)
-                        if np.count_nonzero(fit >= need) < lam:
-                            cv_star, not_repeat = [], False
-                            timers["bounded"] += 1
-                timers["evaluations"] += 1
+            ct_new = np.bincount(tt, minlength=n_t) >= tau_u
+            if np.count_nonzero(ct_new) < lam:
+                timers["cm"] += time.perf_counter() - t0
+                in_vs[v] = False
+                continue
+            timers["evaluations"] += 1
+            # Steps 3+4: reverse-ascertain from V — gather Γ(u',t) of every
+            # surviving (t,u') — then survived-timestamp counting.
+            surv = covered[ct_new[tt]]
+            stop = g_off[surv + 1]
+            lens = stop - g_off[surv]
+            gather = np.repeat(stop - np.cumsum(lens), lens)
+            gather += np.arange(gather.shape[0])
+            cnt_v = np.bincount(g_key[gather], minlength=n_t * n_v)
+            qual = np.flatnonzero(cnt_v >= tau_u)  # qualified (t, v')
+            cnt_t = np.bincount(qual % n_v, minlength=n_v)
+            freq_v = np.flatnonzero(cnt_t >= lam)
+            freq_v = freq_v[~in_vs[freq_v]]
+            k = int(freq_v.searchsorted(v))  # outsiders of rank < v
+            not_repeat = k == 0
+            hi_v = freq_v[k:]
+            if hi_v.shape[0] and size + hi_v.shape[0] >= tau_v:
+                # Closure jump: v' of rank > v is adjacent to all of cand_U'
+                # at every t ∈ C_T' iff its column sum of cnt_V is |surv|,
+                # the most any column can reach. Such a v' is in every
+                # maximal group below this branch; it joins V_S'.
+                cov = cnt_v.reshape(n_t, n_v).take(hi_v, 1).sum(0)
+                cov = cov == surv.shape[0]
+                shut = hi_v[cov].tolist()
+                cv_star = hi_v[~cov].tolist()
+                timers["closed"] += len(shut)
+                # τ_V capacity bound: a group below this branch adds `need`
+                # or more members of C_V*, each qualified (cnt_V ≥ τ_U) at
+                # every t of its support, so λ timestamps must each qualify
+                # `need` of them. Every member is frequent: need = 1 can
+                # never cut.
+                need = tau_v - size - len(shut)
+                if cv_star and need > 1:
+                    fit = cnt_v.reshape(n_t, n_v).take(cv_star, 1) >= tau_u
+                    fit = np.count_nonzero(fit, 1)
+                    if np.count_nonzero(fit >= need) < lam:
+                        cv_star, not_repeat = [], False
+                        timers["bounded"] += 1
+            else:  # no v' of rank > v, or too few of them to reach τ_V
+                shut = cv_star = []
+            if cv_star:
+                level[surv] = depth + 1  # cand_U' × C_T' for the subtree
             timers["cm"] += time.perf_counter() - t0
-            if n_ct >= lam:
-                members = vs + [v] + shut
-                if shut:
-                    in_vs[shut] = True
-                # C_V* is non-empty only where |V_S'| + |C_V*| ≥ τ_V held.
-                if cv_star:
-                    t0 = time.perf_counter()
-                    level[surv] = depth + 1  # cand_U' × C_T' for the subtree
-                    timers["cm"] += time.perf_counter() - t0
-                    rec(members, cv_star, depth + 1)
-                    t0 = time.perf_counter()
-                    level[surv] = depth  # surv ⊆ covered: each slot held depth
-                    timers["cm"] += time.perf_counter() - t0
-                elif not_repeat and len(members) >= tau_v:
-                    group = frozenset(index.v_ids[code[members]].tolist())
-                    results[group] = set(index.t_ids[ct_new].tolist())
-                if shut:
-                    in_vs[shut] = False
+            members = vs + [v] + shut
+            if shut:
+                in_vs[shut] = True
+            if cv_star:
+                rec(members, cv_star, depth + 1)
+                t0 = time.perf_counter()
+                level[surv] = depth  # surv ⊆ covered: each slot held depth
+                timers["cm"] += time.perf_counter() - t0
+            elif not_repeat and len(members) >= tau_v:
+                group = frozenset(index.v_ids[code[members]].tolist())
+                results[group] = set(index.t_ids[ct_new].tolist())
+            if shut:
+                in_vs[shut] = False
             in_vs[v] = False
 
     for root in range(n_v)[roots]:

@@ -118,11 +118,6 @@ class TemporalBipartiteIndex:
     # Views, built on first access
     # ------------------------------------------------------------------
     @cached_property
-    def timestamps(self) -> Tuple[int, ...]:
-        """``T``, sorted."""
-        return tuple(self.t_ids.tolist())
-
-    @cached_property
     def gamma_v(self) -> Dict[int, Dict[int, Set[int]]]:
         """``gamma_v[v][t] = Γ(v,t) ⊆ U`` (m-neighbor sets)."""
         out: Dict[int, Dict[int, Set[int]]] = {}

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +22,7 @@ from repro.core.vfree import vfree
 from repro.experiments import datasets
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import EDGE_COLUMNS, edges_from_pandas, validate_edges
+from repro.graph.stats import degree_order_v
 from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
 
@@ -509,3 +514,59 @@ def test_validate_edges_selects_u_v_t_by_name_without_a_cast(spark):
         assert types == ["int", "smallint", "tinyint"]
     rows = sorted(map(tuple, got.toPandas().values.tolist()))
     assert rows == sorted(map(tuple, pdf[list(EDGE_COLUMNS)].values.tolist()))
+
+
+# ----------------------------------------------------------------------
+# The Spark peel and the benchmark's traced Spark calls
+# ----------------------------------------------------------------------
+
+
+def test_traced_benchmark_calls_give_the_sequential_groups(
+    spark, fixed_plans, fanout_ends
+):
+    """The calls ``perfbench``'s traced Spark run makes, in its order: the
+    Spark peel, the degree-order dataflow over its core, then the fan-out
+    over that core with the graph filter off and the kernel passed
+    positionally."""
+    pdf, params = _d14_case()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    expected = vfree(gfcore_local(g, *params), *params)
+    assert expected
+    for fanout_s in fanout_ends:
+        core = gfcore_spark(edges_from_pandas(spark, pdf), *params)
+        degree_order_v(core).collect()
+        got = enumerate_mfg_distributed(
+            core, *params, "vfree", apply_graph_filter=False
+        )
+        assert got == expected, fanout_s
+
+
+def test_spark_peel_imports_no_ipython():
+    """A ``gfcore_spark`` call in a fresh process builds its rounds from SQL
+    strings: it does not load the ~500 modules, IPython among them, that
+    the first ``functions.col`` of a pyspark 4.1 process imports."""
+    code = (
+        "import sys\n"
+        "from pyspark.sql import SparkSession\n"
+        "from repro.core.gfcore import gfcore_spark\n"
+        "from repro.graph.schema import edges_from_pandas\n"
+        "from repro.synth_data import figure2_edges\n"
+        "spark = SparkSession.builder.getOrCreate()\n"
+        "core = gfcore_spark(edges_from_pandas(spark, figure2_edges()), 2, 2, 3)\n"
+        "print(core.count(), 'IPython' in sys.modules)\n"
+        "spark.stop()\n"
+    )
+    submit = (
+        "--master local[1] --driver-memory 512m "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        "--conf spark.ui.showConsoleProgress=false pyspark-shell"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYSPARK_SUBMIT_ARGS=submit)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    core = gfcore_local(TemporalBipartiteIndex.from_pandas(figure2_edges()), 2, 2, 3)
+    assert proc.stdout.split() == [str(len(core)), "False"]

@@ -16,7 +16,7 @@ from tests.conftest import random_temporal_graph
 def _support_reference(index, vs, tau_u):
     """Definition 2.4 verbatim: t supports V_S iff |⋂ Γ(v,t)| ≥ τ_U."""
     out = set()
-    for t in index.timestamps:
+    for t in index.t_ids.tolist():
         common = None
         for v in vs:
             nbrs = index.m_neighbors_v(v, t)

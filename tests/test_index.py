@@ -29,7 +29,7 @@ class TestConstruction:
         assert len(idx) == 1
 
     def test_timestamps_sorted(self, small):
-        assert small.timestamps == (0, 1)
+        assert small.t_ids.tolist() == [0, 1]
 
     def test_t_pos_dense(self):
         # The t code of an edge is its timestamp's position in T.
@@ -50,7 +50,7 @@ class TestConstruction:
         for rows in ([], iter([])):
             idx = TemporalBipartiteIndex(rows)
             assert len(idx) == 0
-            assert idx.timestamps == ()
+            assert idx.t_ids.tolist() == []
             for name in ("u_ids", "v_ids", "t_ids", "u", "v", "t", "tu"):
                 array = getattr(idx, name)
                 assert array.dtype == np.int64 and array.shape == (0,)
@@ -139,7 +139,7 @@ def _reference(triples: List[Tuple[int, int, int]]) -> Dict[str, object]:
         for v, per_t in ref["gamma_v"].items()
     }
     ref.update(
-        timestamps=tuple(ts),
+        t_ids=ts,
         u_ids=sorted(u_pos),
         n_edges=len(set(triples)),
     )
@@ -167,7 +167,7 @@ class TestViewsMatchReference:
             idx = TemporalBipartiteIndex.from_pandas(pdf)
         ref = _reference(rows)
         assert len(idx) == ref["n_edges"]
-        assert idx.timestamps == ref["timestamps"]
+        assert idx.t_ids.tolist() == ref["t_ids"]
         for name in ("gamma_v", "n_v"):
             assert getattr(idx, name) == ref[name], name
         assert idx.u_ids.tolist() == ref["u_ids"]
@@ -182,7 +182,7 @@ class TestViewsMatchReference:
         # A view added to the index must be added to this comparison.
         views = {n for n, a in vars(TemporalBipartiteIndex).items()
                  if isinstance(a, cached_property)}
-        assert views == {"timestamps", "gamma_v", "n_v", "_v_edge_keys"}
+        assert views == {"gamma_v", "n_v", "_v_edge_keys"}
 
 
 #: One malformed input per case: the rows, the columns that put the same

@@ -262,6 +262,13 @@ class TestClosureJump:
     ``cand_U'`` at every survived timestamp joins ``V_S'`` at once: it is
     in every maximal group below the branch."""
 
+    #: ``timers["closed"]`` and ``timers["bounded"]`` on the analogue cores
+    #: of :meth:`test_evaluations_on_analogue_cores`, in degree and id order.
+    CLOSED_BOUNDED = {
+        "D15": ((491, 128), (725, 169)),
+        "D14": ((237, 20), (299, 21)),
+    }
+
     @pytest.mark.parametrize("reorder", [True, False])
     def test_higher_rank_twin_is_closed(self, reorder):
         """Branch v1 closes its twin v2 and recurses into v3 alone, which
@@ -286,12 +293,14 @@ class TestClosureJump:
         [("D15", 1_655, 2_103), ("D14", 460, 556)],
     )
     def test_evaluations_on_analogue_cores(self, name, evaluations, id_order):
-        """The structural gain, without timing: candidate evaluations on
-        the (τ_V, τ_U, λ)-core of the sf=0.3 analogues, in degree order and
-        in id order (Exp-7's ablation), which does more. History in degree
-        order: 4,033 and 867 with the covered-outsider prune alone; 2,780
-        and 517 with the closure jump added; 1,613 and 454 with the
-        capacity bound added; 1,655 and 460 with the prune removed."""
+        """The structural gain, without timing: candidate evaluations, the
+        vertices the closure jump adds and the branches the capacity bound
+        cuts on the (τ_V, τ_U, λ)-core of the sf=0.3 analogues, in degree
+        order and in id order (Exp-7's ablation), which evaluates more.
+        History of the evaluations in degree order: 4,033 and 867 with the
+        covered-outsider prune alone; 2,780 and 517 with the closure jump
+        added; 1,613 and 454 with the capacity bound added; 1,655 and 460
+        with the prune removed."""
         p = datasets.SPECS[name].params
         core = gfcore_local(
             TemporalBipartiteIndex.from_pandas(datasets.load(name, sf=0.3)),
@@ -304,8 +313,11 @@ class TestClosureJump:
                 core, p.tau_u, p.tau_v, p.lam, reorder_ids=reorder,
                 timers=timers,
             )
-            counts.append(timers["evaluations"])
-        assert counts == [evaluations, id_order]
+            counts.append(
+                tuple(timers[k] for k in ("evaluations", "closed", "bounded"))
+            )
+        degree, ids = self.CLOSED_BOUNDED[name]
+        assert counts == [(evaluations, *degree), (id_order, *ids)]
         assert evaluations < id_order
 
 
