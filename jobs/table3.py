@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Reproduce paper Table 3 (D1 case study) on the driver.
 
-Usage: python jobs/table3.py [--seed 42]
+Usage: python jobs/table3.py
 No Spark session is started.
 """
 import argparse
@@ -10,10 +10,8 @@ from repro.experiments.table3 import format_table3, run_table3
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
-    print(format_table3(run_table3(seed=args.seed)))
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    print(format_table3(run_table3()))
 
 
 if __name__ == "__main__":

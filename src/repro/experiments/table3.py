@@ -136,9 +136,9 @@ class Table3Result:
     mfb: List[Tuple[str, ...]]
 
 
-def run_table3(seed: int = 42) -> Table3Result:
+def run_table3() -> Table3Result:
     """Run MFG / MSG / MFB on the case graph; names only (noise dropped)."""
-    index = TemporalBipartiteIndex.from_pandas(build_case_graph(seed))
+    index = TemporalBipartiteIndex.from_pandas(build_case_graph())
     p = CASE_PARAMS
 
     def named(groups) -> List[Tuple[str, ...]]:

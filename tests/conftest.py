@@ -3,12 +3,13 @@ the repository-root conftest.py)."""
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.runner import MFGRun, Params
 from repro.graph.index import TemporalBipartiteIndex
 from repro.synth_data import figure2_edges
 
@@ -65,3 +66,16 @@ def frame_sha256(pdf: pd.DataFrame) -> str:
     h.update(",".join(map(str, pdf.dtypes)).encode())
     h.update(np.ascontiguousarray(pdf.to_numpy()).tobytes())
     return h.hexdigest()
+
+
+def mfg_run(
+    algorithm: str,
+    groups: Optional[Dict[FrozenSet[int], Set[int]]] = None,
+    params: Params = Params(9, 5, 8),
+    wall_s: float = 1.0,
+    cm_s: float = 0.5,
+    **timers: float,
+) -> MFGRun:
+    """A hand-built :class:`MFGRun`, to drive the table formatters and the
+    jobs' exit checks without running a kernel."""
+    return MFGRun(algorithm, params, groups or {}, wall_s, cm_s, 0, 0, timers)

@@ -2,13 +2,19 @@
 qualitative claims."""
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
+from repro.core.runner import run_mfg
 from repro.experiments import datasets
-from repro.experiments.exp1 import EXP1_ALGORITHMS, format_exp1, run_exp1
+from repro.experiments.exp1 import (
+    EXP1_ALGORITHMS,
+    EXP1_DATASETS,
+    format_exp1,
+    run_exp1,
+)
 from repro.experiments.table1 import (
     PAPER_TABLE1,
     PARAM_SWEEP,
@@ -27,7 +33,8 @@ from repro.experiments.table3 import (
 )
 from repro.graph.index import TemporalBipartiteIndex
 from repro.models.mfb import mfb
-from tests.conftest import frame_sha256
+from tests.conftest import frame_sha256, mfg_run
+from tests.test_filterv import TABLE1_VERIFICATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,13 +57,13 @@ class TestTable1:
 
     def test_cm_time_positive_and_bounded(self, rows):
         for r in rows:
-            assert 0 < r.filterv_cm_s <= r.filterv_wall_s
-            assert 0 < r.vfree_cm_s <= r.vfree_wall_s
+            assert 0 < r.filterv.cm_s <= r.filterv.wall_s
+            assert 0 < r.vfree.cm_s <= r.vfree.wall_s
 
     def test_vfree_cm_below_filterv_cm(self, rows):
         """The paper's headline: VFree's CM component is far cheaper."""
-        assert sum(r.vfree_cm_s for r in rows) < sum(
-            r.filterv_cm_s for r in rows
+        assert sum(r.vfree.cm_s for r in rows) < sum(
+            r.filterv.cm_s for r in rows
         )
 
     def test_format_contains_paper_values(self, rows):
@@ -66,16 +73,23 @@ class TestTable1:
     def test_format_cm_seconds_to_three_significant_digits(self):
         """A sub-0.1 s CM time keeps three significant digits, not two
         decimals; trailing zeros stay, and a value of 100 s or more prints
-        as a whole number."""
+        as a whole number; the work counters print with thousands
+        separators."""
         row = Table1Row(
-            params=(9, 5, 8), filterv_cm_pct=94.66, filterv_cm_s=1.134,
-            vfree_cm_s=0.0934, filterv_wall_s=1.2, vfree_wall_s=0.2,
-            n_groups=3, agree=True,
+            mfg_run("filterv", wall_s=1.2, cm_s=1.134, verifications=12_046),
+            mfg_run("vfree", wall_s=0.2, cm_s=0.0934, evaluations=1_041),
         )
         lines = format_table1([row]).splitlines()
         assert lines[3] == "FilterV-CM (s) [measured] | 1.13s"
         assert lines[5] == "VFree-CM (s) [measured] | 0.0934s"
-        row = dataclasses.replace(row, filterv_cm_s=123.4, vfree_cm_s=0.150)
+        assert lines[7:] == [
+            "FilterV verifications [measured] | 12,046",
+            "VFree evaluations [measured] | 1,041",
+        ]
+        row = Table1Row(
+            mfg_run("filterv", wall_s=124.0, cm_s=123.4, verifications=1),
+            mfg_run("vfree", wall_s=0.2, cm_s=0.150, evaluations=1),
+        )
         lines = format_table1([row]).splitlines()
         assert lines[3] == "FilterV-CM (s) [measured] | 123s"
         assert lines[5] == "VFree-CM (s) [measured] | 0.150s"
@@ -88,22 +102,22 @@ class TestTable2:
 
     def test_all_15_datasets(self, rows):
         assert len(rows) == 15
-        assert [r.name.split(" ")[0] for r in rows] == list(
+        assert [r.spec.name.split(" ")[0] for r in rows] == list(
             datasets.DATASET_NAMES
         )
 
     def test_paper_columns_carried(self, rows):
-        d14 = next(r for r in rows if r.name.startswith("D14"))
-        assert (d14.paper_u, d14.paper_v, d14.paper_e) == (
-            8_870_763,
-            757_622,
-            66_586_964,
+        d14 = next(
+            line for line in format_table2(rows).splitlines()
+            if line.startswith("D14")
         )
-        assert d14.params == (10, 6, 8)
+        assert d14.split()[-6:] == [
+            "8870763", "757622", "66586964", "(10,", "6,", "8)",
+        ]
 
     def test_timestamps_match_paper(self, rows):
         for r in rows:
-            assert r.n_timestamps <= r.paper_t
+            assert r.n_timestamps <= r.spec.n_ts
 
     def test_stats_positive(self, rows):
         for r in rows:
@@ -191,17 +205,78 @@ class TestExp1:
 
     def test_all_algorithms_timed(self, rows):
         for r in rows:
-            assert set(r.seconds) == set(EXP1_ALGORITHMS)
-            assert all(s > 0 for s in r.seconds.values())
+            assert set(r.runs) == set(EXP1_ALGORITHMS)
+            assert all(run.wall_s > 0 for run in r.runs.values())
 
     def test_agreement(self, rows):
         assert all(r.agree for r in rows)
-        assert all(r.n_groups > 0 for r in rows)
+        assert all(r.groups for r in rows)
 
     def test_skipped_bk_marked_inf(self):
         rows = run_exp1(names=("D14",), sf=0.05)
-        assert rows[0].seconds["bk-alg+"] == float("inf")
+        assert "bk-alg+" not in rows[0].runs
+        lines = format_exp1(rows).splitlines()
+        assert lines[1].split()[2] == "INF"
+        assert lines[-1].split()[2] == "-"
 
     def test_format(self, rows):
         text = format_exp1(rows)
         assert "vfree" in text and "D1 (MI)" in text
+        assert "Work: frequency checks" in text
+
+
+#: FilterV-'s and FilterV's frequency checks per Exp-1 dataset at sf=1.
+EXP1_VERIFICATIONS = {
+    "D1": (1_327, 1_327),
+    "D2": (2_534, 2_534),
+    "D5": (18_462, 18_462),
+    "D9": (12_402, 12_371),
+    "D14": (10_571, 10_571),
+    "D15": (80_762, 80_762),
+}
+
+
+def _count(cell: str):
+    return None if cell == "-" else int(cell.replace(",", ""))
+
+
+class TestCommittedCounters:
+    """The work counters in ``results/table1.txt`` and ``results/exp1.txt``
+    are the kernels' own at sf=1. VFree's are recomputed here; FilterV's
+    take ~20 s to recompute, so they are checked against constants."""
+
+    def test_table1_counters(self):
+        lines = (ROOT / "results" / "table1.txt").read_text().splitlines()
+        rows = {line.split(" | ")[0]: line.split(" | ")[1:] for line in lines}
+        settings = rows["(tau_U,tau_V,lambda)"]
+        assert settings == [str(astuple(p)) for p in PARAM_SWEEP]
+        filterv = [
+            _count(c) for c in rows["FilterV verifications [measured]"]
+        ]
+        vfree = [_count(c) for c in rows["VFree evaluations [measured]"]]
+        pinned = {tuple(p): n for *p, n in TABLE1_VERIFICATIONS}
+        assert filterv == [pinned[astuple(p)] for p in PARAM_SWEEP]
+        d14 = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=1.0))
+        assert vfree == [
+            run_mfg(d14, p, "vfree").timers["evaluations"] for p in PARAM_SWEEP
+        ]
+        # Table 1's headline in work: VFree evaluates fewer candidates than
+        # FilterV checks frequencies, at every setting.
+        assert all(v < f for v, f in zip(vfree, filterv))
+
+    def test_exp1_counters(self):
+        text = (ROOT / "results" / "exp1.txt").read_text()
+        work = text.split("\n\n")[1].splitlines()[2:]
+        assert [line.split()[0] for line in work] == list(EXP1_DATASETS)
+        for line in work:
+            name, _label, *cells = line.split()
+            got = dict(zip(EXP1_ALGORITHMS, map(_count, cells)))
+            assert got["bk-alg+"] is None
+            assert (got["filterv-"], got["filterv"]) == EXP1_VERIFICATIONS[name]
+            spec = datasets.SPECS[name]
+            index = TemporalBipartiteIndex.from_pandas(datasets.load(name))
+            run = run_mfg(index, spec.params, "vfree")
+            assert got["vfree"] == run.timers["evaluations"], name
+            # Exp-1's work ordering: VFree's candidate evaluations are fewer
+            # than either FilterV's frequency checks on every dataset.
+            assert got["vfree"] < min(got["filterv"], got["filterv-"]), name

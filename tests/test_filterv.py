@@ -33,10 +33,16 @@ def d14():
     return TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=1.0))
 
 
+#: FilterV's frequency checks on the D14 analogue at sf=1, per Table-1
+#: (τ_U, τ_V, λ); ``results/table1.txt`` must print the same counts.
+TABLE1_VERIFICATIONS = [
+    (8, 4, 8, 59_511), (9, 5, 8, 12_046), (10, 6, 6, 10_571),
+    (10, 6, 10, 10_571),
+]
+
+
 @pytest.mark.parametrize(
-    "tau_u, tau_v, lam, verifications",
-    [(8, 4, 8, 59_511), (9, 5, 8, 12_046), (10, 6, 6, 10_571),
-     (10, 6, 10, 10_571)],
+    "tau_u, tau_v, lam, verifications", TABLE1_VERIFICATIONS
 )
 def test_verifications_at_table1_settings(d14, tau_u, tau_v, lam, verifications):
     """Table 1's FilterV work at its four settings as a count, not seconds:

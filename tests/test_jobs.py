@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.exp1 import EXP1_ALGORITHMS, Exp1Row
+from repro.core.params import Params
+from repro.experiments.datasets import SPECS
+from repro.experiments.exp1 import Exp1Row
 from repro.experiments.table1 import Table1Row
+from tests.conftest import mfg_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +42,22 @@ def test_run_mfg_rejects_bad_arguments(args, message):
     proc = _run_job("run_mfg", *args)
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "job, args, message",
+    [
+        ("exp1", ["--datasets", "D1", "D99"], "invalid choice"),
+        ("table1", ["--dataset", "D14"], "unrecognized arguments"),
+        ("table3", ["--seed", "1"], "unrecognized arguments"),
+    ],
+)
+def test_experiment_jobs_reject_bad_arguments(job, args, message):
+    """Rejected before any dataset is generated: exit code 2, no table."""
+    proc = _run_job(job, *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_run_mfg_driver_path_starts_no_spark():
@@ -83,7 +102,10 @@ def _load_job(name: str):
 
 def test_exp1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
     job = _load_job("exp1")
-    row = Exp1Row("D2", dict.fromkeys(EXP1_ALGORITHMS, 0.0), 1, agree=False)
+    row = Exp1Row(SPECS["D2"], {
+        "filterv": mfg_run("filterv", {frozenset({1}): {1}}, verifications=1),
+        "vfree": mfg_run("vfree", {frozenset({2}): {1}}, evaluations=1),
+    })
     monkeypatch.setattr(job, "run_exp1", lambda **_: [row])
     monkeypatch.setattr(sys, "argv", ["exp1.py"])
     with pytest.raises(SystemExit) as exc:
@@ -95,7 +117,10 @@ def test_exp1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
 
 def test_table1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
     job = _load_job("table1")
-    row = Table1Row((9, 5, 8), 90.0, 1.0, 0.1, 1.1, 0.2, 1, agree=False)
+    row = Table1Row(
+        mfg_run("filterv", {frozenset({1}): {1}}, verifications=1),
+        mfg_run("vfree", {frozenset({2}): {1}}, evaluations=1),
+    )
     monkeypatch.setattr(job, "run_table1", lambda **_: [row])
     monkeypatch.setattr(sys, "argv", ["table1.py"])
     with pytest.raises(SystemExit) as exc:
@@ -107,7 +132,7 @@ def test_table1_exits_nonzero_when_algorithms_disagree(monkeypatch, capsys):
 
 def test_exp1_exits_nonzero_when_a_dataset_has_no_group(monkeypatch, capsys):
     job = _load_job("exp1")
-    row = Exp1Row("D14", dict.fromkeys(EXP1_ALGORITHMS, 0.0), 0, agree=True)
+    row = Exp1Row(SPECS["D14"], {"vfree": mfg_run("vfree", evaluations=0)})
     monkeypatch.setattr(job, "run_exp1", lambda **_: [row])
     monkeypatch.setattr(sys, "argv", ["exp1.py"])
     with pytest.raises(SystemExit) as exc:
@@ -119,7 +144,11 @@ def test_exp1_exits_nonzero_when_a_dataset_has_no_group(monkeypatch, capsys):
 
 def test_table1_exits_nonzero_when_a_column_has_no_group(monkeypatch, capsys):
     job = _load_job("table1")
-    row = Table1Row((10, 6, 10), 90.0, 1.0, 0.1, 1.1, 0.2, 0, agree=True)
+    p = Params(10, 6, 10)
+    row = Table1Row(
+        mfg_run("filterv", params=p, verifications=0),
+        mfg_run("vfree", params=p, evaluations=0),
+    )
     monkeypatch.setattr(job, "run_table1", lambda **_: [row])
     monkeypatch.setattr(sys, "argv", ["table1.py"])
     with pytest.raises(SystemExit) as exc:
