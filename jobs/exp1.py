@@ -14,7 +14,7 @@ from repro.experiments.exp1 import EXP1_DATASETS, format_exp1, run_exp1
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=1.0)
+    ap.add_argument("--sf", type=datasets.scale_factor, default=1.0)
     ap.add_argument(
         "--datasets", nargs="+", default=EXP1_DATASETS,
         choices=datasets.DATASET_NAMES,

@@ -19,7 +19,7 @@ from repro.graph.index import TemporalBipartiteIndex
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dataset", default="D2", choices=datasets.DATASET_NAMES)
-    ap.add_argument("--sf", type=float, default=1.0)
+    ap.add_argument("--sf", type=datasets.scale_factor, default=1.0)
     ap.add_argument("--algorithm", default="vfree", choices=runner.ALGORITHMS)
     ap.add_argument(
         "--distributed",

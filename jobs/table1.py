@@ -10,12 +10,13 @@ group.
 import argparse
 import sys
 
+from repro.experiments.datasets import scale_factor
 from repro.experiments.table1 import format_table1, run_table1
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sf", type=float, default=1.0)
+    ap.add_argument("--sf", type=scale_factor, default=1.0)
     rows = run_table1(sf=ap.parse_args().sf)
     print(format_table1(rows))
     bad = [str(r.params) for r in rows if not r.agree]

@@ -10,15 +10,18 @@ Pipeline (DESIGN.md §2 "Layering note"):
    collected. The peel fixpoint is unique (Lemma 3.1 and
    :mod:`repro.core.gfcore`), so both give the same core.
 2. The driver searches VFree's top-level branches from the top rank down,
-   |V| − 1, |V| − 2, ..., and stops between roots once it has spent
-   ``FANOUT_S``, the fan-out's fixed cost. A search that ends within it
-   returns with no broadcast and no fan-out job. The top ranks have the
-   fewest higher-rank candidates, so their branches are the cheapest and
-   the driver overruns ``FANOUT_S`` by little: by at most the one branch
-   it is in when the time is up.
+   |V| − 1, |V| − 2, ..., in one ``vfree`` call. The ``roots`` it hands
+   ``vfree`` are a generator that reads the clock before each rank and
+   stops once ``FANOUT_S``, the fan-out's fixed cost, is spent. The split
+   is this module's alone: ``vfree`` searches whatever ranks it is given.
+   A search that ends within ``FANOUT_S`` returns with no broadcast and
+   no fan-out job. The top ranks have the fewest higher-rank candidates,
+   so their branches are the cheapest and the driver overruns
+   ``FANOUT_S`` by little: by at most the one branch it is in when the
+   time is up.
 3. Otherwise the ranks ``0, 1, ..., k − 1`` that are left go to
    ``n = min(defaultParallelism, k)`` tasks over the broadcast core: task
-   ``i`` runs ``vfree(core, ..., roots=slice(i, k, n))``, the roots of
+   ``i`` runs ``vfree(core, ..., roots=range(i, k, n))``, the roots of
    rank ``i``, ``i + n``, ... below ``k``. VFree's ``notRepeat`` rule
    makes top-level branches independent and duplicate-free: the MFG whose
    minimum rank is ``r`` is emitted exactly once, by branch ``r``. Every
@@ -28,14 +31,14 @@ Pipeline (DESIGN.md §2 "Layering note"):
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Iterator, Set, Tuple
 
 from pyspark import SparkContext
 from pyspark.sql import DataFrame
 
 from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.params import check_params
-from repro.core.vfree import _search_roots, vfree
+from repro.core.vfree import vfree
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import validate_edges
 
@@ -123,19 +126,17 @@ def enumerate_mfg_distributed(
         core = _collect_core(edges, tau_u, tau_v, lam, driver_edge_budget(sc))
     else:
         core = TemporalBipartiteIndex.from_pandas(edges.toPandas())
-    groups: Dict[FrozenSet[int], Set[int]] = {}
-    k = _search_on_driver(core, tau_u, tau_v, lam, groups)
+    groups, k = _search_on_driver(core, tau_u, tau_v, lam)
     n = min(sc.defaultParallelism, k)
     if n == 0:
         return groups
     b_core = sc.broadcast(core)
-
-    def run_shares(shares):
-        for i in shares:
-            yield vfree(b_core.value, tau_u, tau_v, lam, roots=slice(i, k, n))
-
     try:
-        out = sc.parallelize(range(n), n).mapPartitions(run_shares).collect()
+        out = sc.parallelize(range(n), n).map(
+            lambda i: vfree(
+                b_core.value, tau_u, tau_v, lam, roots=range(i, k, n)
+            )
+        ).collect()
     finally:
         b_core.destroy()
     for share in out:
@@ -144,18 +145,20 @@ def enumerate_mfg_distributed(
 
 
 def _search_on_driver(
-    core: TemporalBipartiteIndex,
-    tau_u: int,
-    tau_v: int,
-    lam: int,
-    groups: Dict[FrozenSet[int], Set[int]],
-) -> int:
-    """Search the roots of rank |V| − 1, |V| − 2, ... into ``groups`` until
-    ``FANOUT_S`` seconds are spent; returns ``k``, the number of ranks left:
-    the driver searched ``[k, |V|)``."""
+    core: TemporalBipartiteIndex, tau_u: int, tau_v: int, lam: int
+) -> Tuple[Dict[FrozenSet[int], Set[int]], int]:
+    """Search the roots of rank |V| − 1, |V| − 2, ... until ``FANOUT_S``
+    seconds are spent; returns the groups found and ``k``, the number of
+    ranks left: the driver searched ``[k, |V|)``. The clock is read before
+    each root, and ``vfree`` draws the next root only once a branch ends."""
     deadline = time.perf_counter() + FANOUT_S
-    top_down = slice(None, None, -1)
-    for r in _search_roots(core, tau_u, tau_v, lam, groups, roots=top_down):
-        if time.perf_counter() >= deadline:
-            return r + 1
-    return 0
+    k = len(core.v_ids)
+
+    def top_down() -> Iterator[int]:
+        nonlocal k
+        while k and time.perf_counter() < deadline:
+            k -= 1
+            yield k
+
+    groups = vfree(core, tau_u, tau_v, lam, roots=top_down())
+    return groups, k

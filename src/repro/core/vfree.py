@@ -71,7 +71,7 @@ Deviations from the pseudocode (documented in DESIGN.md):
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def vfree(
     tau_v: int,
     lam: int,
     reorder_ids: bool = True,
-    roots: slice = slice(None),
+    roots: Optional[Iterable[int]] = None,
     timers: Optional[Dict[str, float]] = None,
 ) -> Dict[FrozenSet[int], Set[int]]:
     """Enumerate all MFGs; returns ``{V_S: support timestamps}``.
@@ -93,12 +93,14 @@ def vfree(
     ``reorder_ids`` selects the processing order: degree order
     (:meth:`TemporalBipartiteIndex.degree_rank`, the paper's default) or
     plain id order (the "without ID reorder" ablation of Exp-7); §4.2: any
-    order gives the same result. ``roots`` is a slice of that order: the
-    top level searches only the branches rooted at those ranks. The default
-    ``slice(None)`` searches all of them; for any ``k`` and ``n``, the
-    suffix ``slice(k, None)`` and the shares ``slice(i, k, n)``, ``i < n``,
-    partition the full result (the driver's part and the distributed
-    tasks' parts).
+    order gives the same result. ``roots`` are ranks of that order: the top
+    level searches only the branches rooted at them, in the order given.
+    The default ``None`` searches every rank from 0 up; for any ``k`` and
+    ``n``, the suffix ``range(k, |V|)`` and the shares ``range(i, k, n)``,
+    ``i < n``, partition the full result (the driver's part and the
+    distributed tasks' parts). The arrays are built before the first rank
+    is drawn, and each next rank is drawn only once the previous branch
+    has ended, so a generator can decide between branches when to stop.
     ``timers["cm"]`` accumulates the valid-candidate-set computation +
     counting-structure maintenance time (Table 1's "VFree-CM": the
     ``cand_U`` stamp and its restore count as maintenance), including
@@ -106,32 +108,8 @@ def vfree(
     ``timers["evaluations"]`` counts the candidate evaluations that reach
     steps 3+4, ``timers["closed"]`` the vertices the closure jump adds and
     ``timers["bounded"]`` the branches the τ_V capacity bound cuts.
-    Raises ``ValueError`` unless every parameter is an integer ≥ 1.
-    """
-    results: Dict[FrozenSet[int], Set[int]] = {}
-    for _ in _search_roots(
-        index, tau_u, tau_v, lam, results, reorder_ids, roots, timers
-    ):
-        pass
-    return results
-
-
-def _search_roots(
-    index: TemporalBipartiteIndex,
-    tau_u: int,
-    tau_v: int,
-    lam: int,
-    results: Dict[FrozenSet[int], Set[int]],
-    reorder_ids: bool = True,
-    roots: slice = slice(None),
-    timers: Optional[Dict[str, float]] = None,
-) -> Iterator[int]:
-    """:func:`vfree`'s search, one top-level branch at a time.
-
-    Yields the rank of each root in ``roots`` before searching its branch,
-    and adds the branch's groups to ``results``. A caller that stops
-    resuming at the yield of rank ``r`` has searched exactly the roots
-    before ``r``; the arrays are built once, on the first resume.
+    Raises ``ValueError`` unless every parameter is an integer ≥ 1, or
+    when a root is not a rank in ``range(|V|)``.
     """
     check_params(tau_u, tau_v, lam)
     if timers is None:
@@ -140,9 +118,8 @@ def _search_roots(
     timers.setdefault("evaluations", 0)
     timers.setdefault("closed", 0)
     timers.setdefault("bounded", 0)
+    results: Dict[FrozenSet[int], Set[int]] = {}
     n_v, n_u, n_t = len(index.v_ids), len(index.u_ids), len(index.t_ids)
-    if len(index) == 0:
-        return
 
     # ---- processing order: rank[c] of V code c --------------------------
     rank = index.degree_rank() if reorder_ids else np.arange(n_v)
@@ -235,6 +212,8 @@ def _search_roots(
                 in_vs[shut] = False
             in_vs[v] = False
 
-    for root in range(n_v)[roots]:
-        yield root
+    for root in range(n_v) if roots is None else roots:
+        if not 0 <= root < n_v:
+            raise ValueError(f"root {root!r} is not a rank in range({n_v})")
         rec([], (root,), 0)
+    return results

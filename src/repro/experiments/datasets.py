@@ -19,6 +19,7 @@ and deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -26,7 +27,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.params import Params
-from repro.synth_data import _rng, planted_temporal_bipartite
+from repro.synth_data import planted_temporal_bipartite
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,27 @@ def _plant_timestamps(n_ts: int, k: int, g: np.random.Generator) -> List[int]:
     )
 
 
+def scale_factor(sf) -> float:
+    """``sf`` as a float; raises ``ValueError`` unless it is finite and > 0.
+
+    The jobs' ``--sf`` argument type, so a bad value exits 2 before any
+    dataset is generated.
+    """
+    value = float(sf)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"sf must be finite and > 0, got {sf!r}")
+    return value
+
+
+def _noise_n_v(spec: DatasetSpec, sf: float) -> int:
+    """The noise V ids are ``1..`` this count."""
+    return max(20, int(spec.n_v * sf))
+
+
 def planted_groups_v(spec: DatasetSpec, sf: float = 1.0) -> List[List[int]]:
     """The planted MFG member sets of one dataset (v ids above noise range)."""
     p = spec.params
-    base = int(spec.n_v * sf) + 10
+    base = _noise_n_v(spec, sf) + 10
     sizes = [p.tau_v, p.tau_v + 1, p.tau_v + 2]
     out, nxt = [], base
     for s in sizes:
@@ -111,9 +129,11 @@ def generate(spec: DatasetSpec, sf: float = 1.0) -> pd.DataFrame:
 
     ``sf`` scales the noise volume (tests use sf≈0.05, ``jobs/`` sf=1).
     Planted structure is independent of ``sf`` so results stay checkable.
+    Raises ``ValueError`` unless ``sf`` is finite and > 0.
     """
+    sf = scale_factor(sf)
     p = spec.params
-    g = _rng(spec.seed)
+    g = np.random.default_rng(spec.seed)
     # Planted MFGs: fresh U side per timestamp.
     groups = [
         dict(
@@ -142,7 +162,7 @@ def generate(spec: DatasetSpec, sf: float = 1.0) -> pd.DataFrame:
     ]
     pdf = planted_temporal_bipartite(
         n_u=max(30, int(spec.n_u * sf)),
-        n_v=max(20, int(spec.n_v * sf)),
+        n_v=_noise_n_v(spec, sf),
         n_edges=max(300, int(spec.n_edges * sf)),
         n_ts=spec.n_ts,
         groups=groups,

@@ -10,10 +10,6 @@ import numpy as np
 import pandas as pd
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def figure2_edges() -> pd.DataFrame:
     """The paper's Figure-2 running-example graph, reconstructed.
 
@@ -60,7 +56,7 @@ def temporal_bipartite_noise(
     temporal edges are dropped, so the returned count can be slightly below
     ``n_edges``.
     """
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
 
     def _zipf(n_items: int, size: int) -> np.ndarray:
         ranks = np.arange(1, n_items + 1)
@@ -85,19 +81,17 @@ def planted_mfg(
     group_u_size: int,
     timestamps: "list[int]",
     u_id_start: int,
-    fresh_u_per_t: bool = True,
 ) -> pd.DataFrame:
     """Edges planting ``members_v`` as a λ-frequency group.
 
     At each timestamp in ``timestamps`` a complete biclique is laid between
-    ``members_v`` and a U-set of size ``group_u_size``. With
-    ``fresh_u_per_t`` the U-side differs per timestamp (exercising MFG's
-    unilateral semantics: the U sides need not repeat); otherwise one fixed
-    U-set is reused (which additionally creates an MFB).
+    ``members_v`` and a fresh U-set of size ``group_u_size``, the next
+    ``group_u_size`` ids from ``u_id_start`` up. The U sides differ per
+    timestamp, as MFG's unilateral semantics allow: they need not repeat.
     """
     rows = []
     for i, t in enumerate(timestamps):
-        base = u_id_start + (i * group_u_size if fresh_u_per_t else 0)
+        base = u_id_start + i * group_u_size
         for u in range(base, base + group_u_size):
             for v in members_v:
                 rows.append((u, v, t))

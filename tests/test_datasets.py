@@ -16,20 +16,20 @@ SMALL = ["D1", "D2", "D3", "D5"]  # cheap enough to enumerate in tests
 #: ``frame_sha256`` of every analogue at sf=0.02: generation is pinned byte
 #: for byte, so a refactor of the generators cannot change a graph unseen.
 PINNED_SF002 = {
-    "D1": "76fa6d1f0426207c8b7136f5ab3a01b870ab84457d8cd04ce67e22453bbc9a6b",
-    "D2": "f09a514f7e228e0936c069ec3493b18af6d1c9fb85818c839a1adc5dc004948f",
-    "D3": "45c593ef1020d10a727288bb610cccf9601bb6f96a7f97b52741b7f2590ec152",
-    "D4": "5f36118ee101532acce182d895ecae6f451960416465a51a051d1856db16ac15",
-    "D5": "9bedd2999c7d246e362fde5cd9e31742c7b5ac70c1d126d216bf09334f4f1144",
-    "D6": "a7abc933eba02b7c5325b0a4ec8b0f8190fff4498b4d0a74713861bc694e1197",
-    "D7": "2f85ebed5fc7b9bd4e86206160aae6182d8b9f285f047b3b0d3d96830c903818",
-    "D8": "980b5e0d5a56b6ceb3f5bdfbb936f3a8546d6f48421c8a60ead904baf1610c28",
+    "D1": "964a2785edf98a9bbbd4596e17e0281567780c3b25a599c0432d3604c3351c45",
+    "D2": "20b4c748834ce80d60ffd5015b5cb03707d28e5b63afe21908d9e01e656ec7c8",
+    "D3": "3ff737d69ea7438cf95bcdcc5fd05f83e5bd8cde22a41857cf807f4d0b13bf2f",
+    "D4": "045d477dc2c70b224c1305d921eb6645683af2c2880d544725cd52ac991d9961",
+    "D5": "4520ccfbdf9dda96747d9fd5d447d14761500b4ed67b6f6457b3b199a07eac2c",
+    "D6": "a2fabb99c7bcf3fb2c215ee71ca3c525d376e4a9cbbdde6cd9e895bcfd70696c",
+    "D7": "6e1316bcfc39c791026ed5c6f8a9c5154b4f232e39862e30e743aa6eb90e7a77",
+    "D8": "666a1780ba62b51036a3c9396c61c6f956952b3e365bc86cb3de68a497458cd7",
     "D9": "025109904200a535b93ddbfafb80f5fe05dafcd3c0f6052d08fae7119e40d777",
-    "D10": "13817817d21a1165fbc58013535aae930b0ba7f958e85d0d061249019f5a82a9",
-    "D11": "8d1affa4ee3cc88a5ab4d6cdd160013f746fde7f8aa6c5c2a46e515d4d7e2012",
-    "D12": "7b38420c78a1d3f507eea686c706ba9e4d61d5109c006ea626d33b7431bc9085",
-    "D13": "669419d608c06d8e1d95e217abd9a5f5e6470c08d9a7dfbc20a63aa70ed93748",
-    "D14": "934d1ef07fa9fdbd71164e6afd8f2f4334a370f5ed9fb8690ff3031df3a5faf9",
+    "D10": "cbf70935ae651abdcf65ff2799d2e4e55ab8414af5bff696f295bf01f02a3db6",
+    "D11": "c0acc13dd4277fcd4601b6dba51d0fc4ae52ea2c249f9716ed4571a3cc4fb8fe",
+    "D12": "49171f04848dbed314d3a08536f381acd2cf7c2f7cf9cecf814a4a1b1e2744c7",
+    "D13": "27ea2be916fccaf28b5e9dadfbf38cd8c2f7dc0724ab0a71b006447961085c72",
+    "D14": "8bba1c9ba7f98e95fc2f149220682e836aa805e686a8e1d15d493cd698462fbc",
     "D15": "537f57e69f3cd1d772240556dbc4b1accf56111c54bad2ea7b0e27c27aec6823",
 }
 
@@ -115,9 +115,26 @@ def test_bigger_sf_means_more_edges():
     assert b > a
 
 
+@pytest.mark.parametrize("sf", [float("nan"), float("inf"), -1, 0])
+def test_generate_rejects_a_bad_scale_factor(sf):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        datasets.load("D2", sf=sf)
+
+
 def test_planted_group_ids_disjoint_from_noise():
-    spec = datasets.SPECS["D5"]
-    groups = datasets.planted_groups_v(spec, 0.05)
-    flat = [v for g in groups for v in g]
-    assert len(set(flat)) == len(flat)
-    assert min(flat) > int(spec.n_v * 0.05)
+    """The noise takes V ids 1..max(20, int(|V|·sf)) and U ids
+    1..max(30, int(|U|·sf)). Every other row is planted, community block or
+    hub, on U ids above the noise's; at every scale its V ids lie above the
+    noise's too, and the planted groups are among them."""
+    for name in ALL:
+        spec = datasets.SPECS[name]
+        for sf in (0.02, 0.05, 0.1, 1):
+            pdf = datasets.load(name, sf=sf)
+            noise_v = max(20, int(spec.n_v * sf))
+            noise = pdf["u"] <= max(30, int(spec.n_u * sf))
+            assert pdf.loc[noise, "v"].max() <= noise_v
+            structured = set(pdf.loc[~noise, "v"].tolist())
+            planted = [v for g in datasets.planted_groups_v(spec, sf) for v in g]
+            assert len(set(planted)) == len(planted)
+            assert set(planted) <= structured, (name, sf)
+            assert min(structured) > noise_v, (name, sf)

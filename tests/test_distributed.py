@@ -380,23 +380,47 @@ def _ticking_clock(monkeypatch):
     )
 
 
+def _d14_core():
+    """The core of D14 at sf=0.1 (45 roots) and its (τ_U, τ_V, λ)."""
+    pdf, params = _d14_case()
+    g = TemporalBipartiteIndex.from_pandas(pdf)
+    return gfcore_local(g, *params), params
+
+
 def test_driver_search_stops_between_roots_from_the_top(monkeypatch):
     """Under a clock that reads 0, 1, 2, ... s and ``FANOUT_S = s + 0.5``,
     the driver reads the clock once before each root, so it searches ``s``
     roots from the top rank down and returns ``k = |V| − s``, the number
     of ranks left. No Spark session is used."""
-    p = datasets.SPECS["D14"].params
-    params = (p.tau_u, p.tau_v, p.lam)
-    g = TemporalBipartiteIndex.from_pandas(datasets.load("D14", sf=0.1))
-    core = gfcore_local(g, *params)
+    core, params = _d14_core()
     n_v = len(core.v_ids)
     for s in range(n_v + 1):
         _ticking_clock(monkeypatch)
         monkeypatch.setattr(distributed, "FANOUT_S", s + 0.5)
-        groups = {}
-        k = distributed._search_on_driver(core, *params, groups)
+        groups, k = distributed._search_on_driver(core, *params)
         assert k == n_v - s, s
-        assert groups == vfree(core, *params, roots=slice(k, None)), s
+        assert groups == vfree(core, *params, roots=range(k, n_v)), s
+
+
+def test_driver_search_builds_the_arrays_once(monkeypatch):
+    """The driver draws its ranks lazily from one ``vfree`` call: a search
+    that stops after 20 of the core's 45 roots orders the core once."""
+    core, params = _d14_core()
+    calls = []
+    degree_rank = TemporalBipartiteIndex.degree_rank
+
+    def counting(index):
+        calls.append(index)
+        return degree_rank(index)
+
+    monkeypatch.setattr(TemporalBipartiteIndex, "degree_rank", counting)
+    _ticking_clock(monkeypatch)
+    monkeypatch.setattr(distributed, "FANOUT_S", 20.5)
+    groups, k = distributed._search_on_driver(core, *params)
+    assert calls == [core]
+    n_v = len(core.v_ids)
+    assert k == n_v - 20 > 0
+    assert groups and groups == vfree(core, *params, roots=range(k, n_v))
 
 
 @pytest.mark.parametrize("stop", [3, 5])
@@ -414,12 +438,11 @@ def test_driver_stops_between_roots_and_ships_the_rest(
     monkeypatch.setattr(distributed, "FANOUT_S", stop + 0.5)
     stops, driver_part = [], {}
 
-    def recording(core, tau_u, tau_v, lam, groups):
-        k = search_on_driver(core, tau_u, tau_v, lam, groups)
+    def recording(core, tau_u, tau_v, lam):
+        groups, k = search_on_driver(core, tau_u, tau_v, lam)
         stops.append(k)
         driver_part.update(groups)
-        groups.clear()
-        return k
+        return {}, k
 
     search_on_driver = distributed._search_on_driver
     monkeypatch.setattr(distributed, "_search_on_driver", recording)
@@ -430,8 +453,8 @@ def test_driver_stops_between_roots_and_ships_the_rest(
     with job_group(spark, f"driver-stop-{stop}") as jobs:
         shipped = enumerate_mfg_distributed(edges, *params)
     assert stops == [k] and k > 0
-    assert driver_part == vfree(core, *params, roots=slice(k, None))
-    assert shipped == vfree(core, *params, roots=slice(0, k))
+    assert driver_part == vfree(core, *params, roots=range(k, len(core.v_ids)))
+    assert shipped == vfree(core, *params, roots=range(k))
     assert driver_part and shipped
     assert {**driver_part, **shipped} == vfree(core, *params)
     tracker = spark.sparkContext.statusTracker()

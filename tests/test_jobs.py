@@ -50,10 +50,16 @@ def test_run_mfg_rejects_bad_arguments(args, message):
         ("exp1", ["--datasets", "D1", "D99"], "invalid choice"),
         ("table1", ["--dataset", "D14"], "unrecognized arguments"),
         ("table3", ["--seed", "1"], "unrecognized arguments"),
+        *[
+            (job, ["--sf", sf], "invalid scale_factor value")
+            for job in ("exp1", "run_mfg", "table1", "table2")
+            for sf in ("nan", "inf", "-1")
+        ],
     ],
 )
 def test_experiment_jobs_reject_bad_arguments(job, args, message):
-    """Rejected before any dataset is generated: exit code 2, no table."""
+    """Rejected before any dataset is generated: exit code 2, no table.
+    ``--sf`` must be finite and > 0 (``datasets.scale_factor``)."""
     proc = _run_job(job, *args)
     assert proc.returncode == 2
     assert message in proc.stderr

@@ -10,6 +10,16 @@ from repro.synth_data import planted_mfg
 from tests.conftest import random_triples
 
 
+def _fixed_biclique(members_v, group_u_size, timestamps, u_id_start):
+    """One U-set, ``group_u_size`` ids from ``u_id_start`` up, joined to
+    every member of ``members_v`` at each of ``timestamps``: a frequent
+    biclique whose U side repeats."""
+    us = range(u_id_start, u_id_start + group_u_size)
+    return TemporalBipartiteIndex(
+        (u, v, t) for t in timestamps for u in us for v in members_v
+    )
+
+
 def mfb_bruteforce(triples, tau_u: int, tau_v: int, lam: int) -> set:
     """Every maximal frequent (τ_U, τ_V)-biclique, by enumerating all
     (U_S, V_S) pairs.
@@ -92,14 +102,7 @@ class TestMFB:
         assert mfb(fig2, 2, 2, 3) == []
 
     def test_recovers_planted_fixed_biclique(self):
-        pdf = planted_mfg(
-            members_v=[1, 2, 3],
-            group_u_size=2,
-            timestamps=[0, 1, 2, 3],
-            u_id_start=100,
-            fresh_u_per_t=False,
-        )
-        got = mfb(TemporalBipartiteIndex.from_pandas(pdf), 2, 2, 3)
+        got = mfb(_fixed_biclique([1, 2, 3], 2, [0, 1, 2, 3], 100), 2, 2, 3)
         assert got == [(frozenset({100, 101}), frozenset({1, 2, 3}))]
 
     def test_fresh_u_defeats_mfb(self):
@@ -108,43 +111,21 @@ class TestMFB:
             group_u_size=2,
             timestamps=[0, 1, 2, 3],
             u_id_start=100,
-            fresh_u_per_t=True,
         )
         assert mfb(TemporalBipartiteIndex.from_pandas(pdf), 2, 2, 3) == []
 
     def test_frequency_threshold(self):
-        pdf = planted_mfg(
-            members_v=[1, 2],
-            group_u_size=2,
-            timestamps=[0, 1, 2],
-            u_id_start=10,
-            fresh_u_per_t=False,
-        )
-        idx = TemporalBipartiteIndex.from_pandas(pdf)
+        idx = _fixed_biclique([1, 2], 2, [0, 1, 2], 10)
         assert mfb(idx, 2, 2, 3) != []
         assert mfb(idx, 2, 2, 4) == []
 
     def test_maximality_across_pairs(self):
         # A 3x3 biclique at 3 timestamps: the maximal pair is the full one.
-        pdf = planted_mfg(
-            members_v=[1, 2, 3],
-            group_u_size=3,
-            timestamps=[0, 1, 2],
-            u_id_start=10,
-            fresh_u_per_t=False,
-        )
-        got = mfb(TemporalBipartiteIndex.from_pandas(pdf), 2, 2, 3)
+        got = mfb(_fixed_biclique([1, 2, 3], 3, [0, 1, 2], 10), 2, 2, 3)
         assert got == [(frozenset({10, 11, 12}), frozenset({1, 2, 3}))]
 
     def test_size_constraints(self):
-        pdf = planted_mfg(
-            members_v=[1, 2],
-            group_u_size=2,
-            timestamps=[0, 1, 2],
-            u_id_start=10,
-            fresh_u_per_t=False,
-        )
-        idx = TemporalBipartiteIndex.from_pandas(pdf)
+        idx = _fixed_biclique([1, 2], 2, [0, 1, 2], 10)
         assert mfb(idx, 3, 2, 3) == []  # needs 3 U vertices, only 2 exist
         assert mfb(idx, 2, 3, 3) == []  # needs 3 V vertices, only 2 exist
 

@@ -128,7 +128,7 @@ class TestExamples42to44:
         # Example 4.3: C_V*({v1}) = {v2, v3, v5}, survived ts {1, 2, 3, 4};
         # the only MFG in v1's branch (natural id order, v1 is rank 0) is
         # {v1,v2,v3,v5}.
-        res = vfree(fig2, *PARAMS, reorder_ids=False, roots=slice(0, 1))
+        res = vfree(fig2, *PARAMS, reorder_ids=False, roots=[0])
         assert res == {frozenset({1, 2, 3, 5}): {1, 3, 4}}
 
     def test_survived_timestamps_of_v1(self, fig2):

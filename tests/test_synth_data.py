@@ -50,19 +50,12 @@ class TestPlantedMFG:
     def test_fresh_u_per_timestamp(self):
         pdf = synth_data.planted_mfg(
             members_v=[1, 2], group_u_size=3, timestamps=[0, 5],
-            u_id_start=100, fresh_u_per_t=True,
+            u_id_start=100,
         )
         u_at_0 = set(pdf[pdf.t == 0]["u"])
         u_at_5 = set(pdf[pdf.t == 5]["u"])
         assert u_at_0.isdisjoint(u_at_5)
         assert len(u_at_0) == len(u_at_5) == 3
-
-    def test_fixed_u(self):
-        pdf = synth_data.planted_mfg(
-            members_v=[1, 2], group_u_size=3, timestamps=[0, 5],
-            u_id_start=100, fresh_u_per_t=False,
-        )
-        assert set(pdf[pdf.t == 0]["u"]) == set(pdf[pdf.t == 5]["u"])
 
     def test_complete_biclique_per_timestamp(self):
         pdf = synth_data.planted_mfg(

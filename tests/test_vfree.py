@@ -50,9 +50,9 @@ class TestRootedPartition:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_union_of_roots_equals_full(self, case):
         """The distributed path's split, for every stop rank ``k``: the
-        suffix ``slice(k, None)``, searched on the driver, and the ranks
+        suffix ``range(k, |V|)``, searched on the driver, and the ranks
         below ``k`` dealt round-robin in rank order into ``n`` shares
-        ``slice(i, k, n)``; at ``k = |V|``, ``n = |V|`` is one root per
+        ``range(i, k, n)``; at ``k = |V|``, ``n = |V|`` is one root per
         share. The parts give the full result with no group twice, and
         their counters add up to the full run's."""
         g, params = SPLIT_CASES[case]()
@@ -64,8 +64,8 @@ class TestRootedPartition:
             for k in range(n_v + 1):
                 for n in (1, 2, 3, n_v) if k == n_v else (1, 2, 3):
                     merged, timers = {}, {}
-                    parts = [slice(i, k, n) for i in range(n)]
-                    for roots in [slice(k, None)] + parts:
+                    parts = [range(i, k, n) for i in range(n)]
+                    for roots in [range(k, n_v)] + parts:
                         part = vfree(
                             g, *params, reorder_ids=reorder, roots=roots,
                             timers=timers,
@@ -80,13 +80,42 @@ class TestRootedPartition:
 
     def test_root_branch_contains_min_member(self, fig2):
         for i, r in enumerate(fig2.v_ids.tolist()):
-            part = vfree(fig2, 2, 2, 3, reorder_ids=False, roots=slice(i, i + 1))
+            part = vfree(fig2, 2, 2, 3, reorder_ids=False, roots=[i])
             for vs in part:
                 assert min(vs) == r
 
     def test_roots_past_the_last_rank_are_empty(self, fig2):
         n = len(fig2.v_ids)
-        assert vfree(fig2, 2, 2, 3, roots=slice(n, None)) == {}
+        assert vfree(fig2, 2, 2, 3, roots=range(n, n)) == {}
+
+    def test_root_outside_the_ranks_raises(self, fig2):
+        """Rank −1, which a sequence index would wrap to the last rank, the
+        ranks |V| and |V| + 3, and any rank of a graph with no vertex."""
+        n = len(fig2.v_ids)
+        for root in (-1, n, n + 3):
+            with pytest.raises(ValueError, match="not a rank"):
+                vfree(fig2, 2, 2, 3, roots=[0, root])
+        with pytest.raises(ValueError, match="not a rank"):
+            vfree(TemporalBipartiteIndex([]), 2, 2, 3, roots=[0])
+
+    def test_each_rank_is_drawn_after_the_branches_before_it(self, fig2):
+        """A generator of roots sees, at each draw, the evaluations of
+        every branch it gave before: ``vfree`` draws the next rank only
+        once the previous branch has ended."""
+        n, timers, seen = len(fig2.v_ids), {}, []
+
+        def top_down():
+            for r in range(n - 1, 1, -1):
+                seen.append((r, timers["evaluations"]))
+                yield r
+
+        got = vfree(fig2, 2, 2, 3, roots=top_down(), timers=timers)
+        assert got == vfree(fig2, 2, 2, 3, roots=range(2, n))
+        assert seen[-1][1] > 0
+        for r, evaluations in seen:
+            before = {}
+            vfree(fig2, 2, 2, 3, roots=range(r + 1, n), timers=before)
+            assert evaluations == before["evaluations"], r
 
 
 class TestOrdering:
@@ -214,7 +243,7 @@ def _sweep(density, params, sizes):
                 merged = {}
                 for i in range(3):
                     merged.update(vfree(
-                        g, *params, reorder_ids=reorder, roots=slice(i, None, 3)
+                        g, *params, reorder_ids=reorder, roots=range(i, len(g.v_ids), 3)
                     ))
                 assert merged == expected, (n_u, n_v, n_t, seed, reorder)
     return totals
