@@ -43,6 +43,7 @@ def main() -> None:
         spark = (
             SparkSession.builder.appName("repro-run-mfg")
             .config("spark.ui.showConsoleProgress", "false")
+            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
             .getOrCreate()
         )
         try:

@@ -4,10 +4,10 @@ first, then run VFree over shares of the roots that are left.
 Pipeline (DESIGN.md §2 "Layering note"):
 
 1. The (τ_V, τ_U, λ)-core. A graph whose edges fit the driver's edge
-   budget (:func:`driver_edge_budget`) is collected once, raw, and peeled
-   on the driver by ``gfcore_local``: no Spark peel round runs. A larger
-   graph is peeled by ``gfcore_spark`` to the fixpoint and its core is
-   collected. The peel fixpoint is unique (Lemma 3.1 and
+   budget (:func:`driver_edge_budget`) is collected once, raw, in one
+   task, and peeled on the driver by ``gfcore_local``: no Spark peel round
+   runs. A larger graph is peeled by ``gfcore_spark`` to the fixpoint and
+   its core is collected. The peel fixpoint is unique (Lemma 3.1 and
    :mod:`repro.core.gfcore`), so both give the same core.
 2. The driver searches VFree's top-level branches from the top rank down,
    |V| − 1, |V| − 2, ..., in one ``vfree`` call. The ``roots`` it hands
@@ -86,10 +86,12 @@ def _collect_core(
 
     One ``limit(budget + 1)`` collect is both the fit test and, when the raw
     rows fit, the collect that ``gfcore_local`` peels. Otherwise
-    ``gfcore_spark`` peels and its core is collected. The raw frame is
-    dropped as soon as it is encoded.
+    ``gfcore_spark`` peels and its core is collected. The probe reads the
+    input through ``coalesce(1)``: over one partition the limit's collect
+    needs no shuffle, so the probe is one job of one stage and one task.
+    The raw frame is dropped as soon as it is encoded.
     """
-    raw = edges.limit(budget + 1).toPandas()
+    raw = edges.coalesce(1).limit(budget + 1).toPandas()
     if len(raw) > budget:
         del raw  # free the probe before the Spark peel
         core = gfcore_spark(edges, tau_u, tau_v, lam).toPandas()

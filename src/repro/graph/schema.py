@@ -10,6 +10,13 @@ DataFrame of distinct temporal edges with columns
 ``edges_from_pandas`` builds the columns as long; ``validate_edges`` takes
 any integral type.
 
+The frame ``edges_from_pandas`` returns holds its rows as Arrow batches in
+an RDD (a ``LogicalRDD`` in the plan, one partition per Arrow batch), not
+as a ``LocalRelation`` whose rows are part of the plan: Catalyst walks a
+``LocalRelation``'s rows in every optimizer rule that maps expressions, so
+planning a query over one costs time in proportion to its rows (DESIGN.md
+§2). Over an RDD-backed frame, planning costs the same at any row count.
+
 U-ids and V-ids live in separate namespaces (``u = 3`` and ``v = 3`` are
 different vertices), matching the paper's disjoint vertex sets.
 """
@@ -33,6 +40,10 @@ EDGE_SCHEMA = StructType(
 #: Column order used everywhere for edge frames.
 EDGE_COLUMNS = ("u", "v", "t")
 
+#: Arrow data below this many bytes becomes a ``LocalRelation``; at 0 it
+#: never does.
+_LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+
 
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Build a distinct temporal-edge DataFrame from a pandas frame.
@@ -40,11 +51,29 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     Duplicate rows are dropped on the driver, where the frame already is,
     so the Spark plan carries no ``distinct`` shuffle. Raises ``ValueError``
     for a missing, repeated or non-integer column, or a value outside
-    int64, as :func:`repro.graph.index.edge_columns` does.
+    int64, as :func:`repro.graph.index.edge_columns` does, before any call
+    to ``spark``.
+
+    With Arrow on (``spark.sql.execution.arrow.pyspark.enabled``), the
+    frame's rows are Arrow batches in an RDD, not in its plan, so that
+    planning a query over it does not grow with its rows: the call sets
+    ``spark.sql.execution.arrow.localRelationThreshold`` to 0 for its one
+    ``createDataFrame`` and then restores it (unsets it if it was unset).
+    The setting is session-wide, so a query another thread builds from
+    local data in that moment is RDD-backed too. With Arrow off, pyspark
+    pickles the rows one by one into an RDD instead, which is far slower.
     """
     pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
     pdf = pdf.drop_duplicates(ignore_index=True)
-    return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+    saved = spark.conf.get(_LOCAL_RELATION_THRESHOLD, None)
+    spark.conf.set(_LOCAL_RELATION_THRESHOLD, 0)
+    try:
+        return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+    finally:
+        if saved is None:
+            spark.conf.unset(_LOCAL_RELATION_THRESHOLD)
+        else:
+            spark.conf.set(_LOCAL_RELATION_THRESHOLD, saved)
 
 
 def validate_edges(edges: DataFrame) -> DataFrame:
@@ -56,8 +85,11 @@ def validate_edges(edges: DataFrame) -> DataFrame:
     A frame whose columns are exactly ``u, v, t`` is returned as it is;
     any other is selected down to them by name. No column is cast: the
     driver widens the collected columns to int64 in ``edge_columns``, and
-    a cast projection would make Catalyst evaluate it on every row of a
-    local frame each time the frame is planned (DESIGN.md §2).
+    over a frame the caller built from local rows (a ``LocalRelation``,
+    e.g. ``spark.createDataFrame(rows)``) a cast projection would make
+    Catalyst evaluate it on every row each time the frame is planned
+    (DESIGN.md §2). A frame from ``edges_from_pandas`` has no rows in its
+    plan.
     """
     missing = [c for c in EDGE_COLUMNS if c not in edges.columns]
     if missing:

@@ -229,6 +229,52 @@ def test_edges_from_pandas_rejects_unsigned_values_above_int64(spark):
         edges_from_pandas(spark, wide)
 
 
+#: The session setting below which pyspark builds a ``LocalRelation``.
+LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+
+
+@pytest.mark.parametrize("n", [1, 10_001, 31_928])
+def test_edges_from_pandas_keeps_the_rows_out_of_the_plan(spark, n):
+    """The rows are Arrow batches in an RDD, one partition per batch of
+    10,000, not a ``LocalRelation`` in the plan."""
+    pdf = pd.DataFrame({"u": np.arange(n), "v": np.arange(n) % 7, "t": 0})
+    edges = edges_from_pandas(spark, pdf)
+    assert not edges.isLocal()
+    assert edges.rdd.getNumPartitions() == -(-n // 10_000)
+    assert edges.count() == n
+
+
+@pytest.mark.parametrize("saved", [None, "1m"])
+def test_edges_from_pandas_restores_the_local_relation_threshold(
+    spark, monkeypatch, saved
+):
+    """Unset stays unset and a set value stays as it was: after a call,
+    after a ``ValueError`` from ``edge_columns`` and after a failed
+    ``createDataFrame``."""
+    conf = spark.conf
+    if saved is None:
+        conf.unset(LOCAL_RELATION_THRESHOLD)
+    else:
+        conf.set(LOCAL_RELATION_THRESHOLD, saved)
+    try:
+        assert not edges_from_pandas(spark, figure2_edges()).isLocal()
+        assert conf.get(LOCAL_RELATION_THRESHOLD, None) == saved
+        with pytest.raises(ValueError, match="missing"):
+            edges_from_pandas(spark, figure2_edges().drop(columns="t"))
+        assert conf.get(LOCAL_RELATION_THRESHOLD, None) == saved
+
+        def failing(*args, **kwargs):
+            assert conf.get(LOCAL_RELATION_THRESHOLD) == "0"
+            raise RuntimeError("createDataFrame failed")
+
+        monkeypatch.setattr(spark, "createDataFrame", failing)
+        with pytest.raises(RuntimeError, match="createDataFrame failed"):
+            edges_from_pandas(spark, figure2_edges())
+        assert conf.get(LOCAL_RELATION_THRESHOLD, None) == saved
+    finally:
+        conf.unset(LOCAL_RELATION_THRESHOLD)
+
+
 # ----------------------------------------------------------------------
 # Cut-over: peel on the driver once the graph fits the edge budget
 # ----------------------------------------------------------------------
@@ -284,10 +330,19 @@ def _d14_case():
     return datasets.load("D14", sf=0.1), (p.tau_u, p.tau_v, p.lam)
 
 
+def _dist_fanout_case():
+    """The ``dist-fanout`` benchmark's base graph, D14 at sf=0.3: 31,928
+    distinct edges, four Arrow batches and so four partitions."""
+    pdf = datasets.load("D14", sf=0.3).drop_duplicates(ignore_index=True)
+    p = datasets.SPECS["D14"].params
+    return pdf, (p.tau_u, p.tau_v, p.lam)
+
+
 CUT_OVER_CASES = {
     "figure2": lambda: (figure2_edges(), (2, 2, 3)),
     "random": _random_case,
     "D14": _d14_case,
+    "dist-fanout": _dist_fanout_case,
 }
 
 
@@ -353,7 +408,7 @@ def test_over_budget_call_equals_sequential(
         assert len(jobs) > UNDER_BUDGET_JOBS[fanout_s], fanout_s
 
 
-@pytest.mark.parametrize("case", ["figure2", "random"])
+@pytest.mark.parametrize("case", ["figure2", "random", "dist-fanout"])
 def test_under_budget_call_runs_two_jobs(
     spark, fixed_plans, local_peels, fanout_ends, case
 ):
@@ -370,6 +425,24 @@ def test_under_budget_call_runs_two_jobs(
         assert got == vfree(gfcore_local(g, *params), *params), fanout_s
         assert len(jobs) == UNDER_BUDGET_JOBS[fanout_s], fanout_s
         assert local_peels == [len(g)]  # the whole raw graph, on the driver
+
+
+def test_multi_partition_raw_collect_is_one_job_of_one_stage(
+    spark, fixed_plans
+):
+    """``coalesce(1)`` before the limit: the probe reads all partitions in
+    one task, with no shuffle to gather them."""
+    pdf, params = _dist_fanout_case()
+    edges = edges_from_pandas(spark, pdf)
+    assert len(pdf) == 31_928 and edges.rdd.getNumPartitions() == 4
+    with job_group(spark, "multi-partition-probe") as jobs:
+        core = distributed._collect_core(edges, *params, len(pdf))
+    assert len(core) > 0
+    tracker = spark.sparkContext.statusTracker()
+    assert len(jobs) == 1
+    stages = tracker.getJobInfo(jobs[0]).stageIds
+    assert len(stages) == 1
+    assert tracker.getStageInfo(stages[0]).numTasks == 1
 
 
 def _ticking_clock(monkeypatch):

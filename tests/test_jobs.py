@@ -1,5 +1,6 @@
-"""Command-line checks of the driver-side ``jobs/`` scripts; none of them
-starts a Spark session, and the driver path loads no pyspark."""
+"""Command-line checks of the ``jobs/`` scripts. Only
+``run_mfg.py --distributed`` starts a Spark session, and the driver path
+loads no pyspark."""
 from __future__ import annotations
 
 import importlib.util
@@ -70,6 +71,47 @@ def test_run_mfg_driver_path_starts_no_spark():
     proc = _run_job("run_mfg", "--dataset", "D2", "--sf", "0.05")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# D2")
+
+
+def test_run_mfg_distributed_path_gives_the_driver_groups():
+    """``--distributed`` on D14 at sf=0.1 prints the driver run's groups.
+    Its session has Arrow on, so the edge frame it builds keeps its rows
+    out of the plan; the job's call is wrapped to report both."""
+    args = ["--dataset", "D14", "--sf", "0.1"]
+    driver = _run_job("run_mfg", *args)
+    assert driver.returncode == 0, driver.stderr
+    code = (
+        "import runpy, sys\n"
+        "from repro.core import distributed\n"
+        "call = distributed.enumerate_mfg_distributed\n"
+        "def reporting(edges, *a, **k):\n"
+        "    conf = edges.sparkSession.conf\n"
+        "    arrow = conf.get('spark.sql.execution.arrow.pyspark.enabled')\n"
+        "    print('#arrow', arrow, 'local', edges.isLocal(), file=sys.stderr)\n"
+        "    return call(edges, *a, **k)\n"
+        "distributed.enumerate_mfg_distributed = reporting\n"
+        f"sys.argv = ['run_mfg.py', *{args!r}, '--distributed']\n"
+        f"runpy.run_path({str(ROOT / 'jobs' / 'run_mfg.py')!r}, "
+        "run_name='__main__')\n"
+    )
+    submit = (
+        "--master local[2] --driver-memory 512m "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        "pyspark-shell"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), PYSPARK_SUBMIT_ARGS=submit
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "#arrow true local False" in proc.stderr
+    head, *groups = proc.stdout.splitlines()
+    driver_head, *driver_groups = driver.stdout.splitlines()
+    assert head == driver_head.replace("distributed=False", "distributed=True")
+    assert groups == driver_groups and groups
 
 
 def test_table2_job_starts_no_spark():
