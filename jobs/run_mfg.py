@@ -43,7 +43,6 @@ def main() -> None:
         spark = (
             SparkSession.builder.appName("repro-run-mfg")
             .config("spark.ui.showConsoleProgress", "false")
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
             .getOrCreate()
         )
         try:

@@ -89,12 +89,13 @@ def _collect_core(
     ``gfcore_spark`` peels and its core is collected. The probe reads the
     input through ``coalesce(1)``: over one partition the limit's collect
     needs no shuffle, so the probe is one job of one stage and one task.
-    The raw frame is dropped as soon as it is encoded.
+    Each collect is ``toArrow()``, Arrow batches whatever the session's
+    Arrow setting. The raw frame is dropped as soon as it is encoded.
     """
-    raw = edges.coalesce(1).limit(budget + 1).toPandas()
+    raw = edges.coalesce(1).limit(budget + 1).toArrow().to_pandas()
     if len(raw) > budget:
         del raw  # free the probe before the Spark peel
-        core = gfcore_spark(edges, tau_u, tau_v, lam).toPandas()
+        core = gfcore_spark(edges, tau_u, tau_v, lam).toArrow().to_pandas()
         return TemporalBipartiteIndex.from_pandas(core)
     index = TemporalBipartiteIndex.from_pandas(raw)
     del raw
@@ -127,7 +128,7 @@ def enumerate_mfg_distributed(
     if apply_graph_filter:
         core = _collect_core(edges, tau_u, tau_v, lam, driver_edge_budget(sc))
     else:
-        core = TemporalBipartiteIndex.from_pandas(edges.toPandas())
+        core = TemporalBipartiteIndex.from_pandas(edges.toArrow().to_pandas())
     groups, k = _search_on_driver(core, tau_u, tau_v, lam)
     n = min(sc.defaultParallelism, k)
     if n == 0:

@@ -52,9 +52,9 @@ def filterv(
 
     all_v: List[int] = index.v_ids.tolist()
     all_t: FrozenSet[int] = frozenset(index.t_ids.tolist())
-    # T(v) for Lemma 3.2, precomputed once.
-    t_of: Dict[int, FrozenSet[int]] = {
-        v: index.t_of_v(v, tau_u) for v in all_v
+    # T(v) = {t : δ(v,t) ≥ τ_U} for Lemma 3.2: the support of {v}, once.
+    t_of: Dict[int, Set[int]] = {
+        v: support_timestamps(index, [v], tau_u) for v in all_v
     }
     verify = check_fre if use_array_verification else is_frequent_naive
     results: Dict[FrozenSet[int], Set[int]] = {}

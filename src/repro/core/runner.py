@@ -40,14 +40,14 @@ class MFGRun:
     params: Params
     groups: Dict[FrozenSet[int], Set[int]]
     wall_s: float
-    cm_s: float
     filtered_edges: int
     input_edges: int
     timers: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def n_groups(self) -> int:
-        return len(self.groups)
+    def cm_s(self) -> float:
+        """The kernel's CM time, ``timers["cm"]`` (0 for one that has none)."""
+        return self.timers.get("cm", 0.0)
 
     @property
     def cm_pct(self) -> float:
@@ -98,7 +98,6 @@ def run_mfg(
         params=params,
         groups=groups,
         wall_s=wall,
-        cm_s=timers.get("cm", 0.0),
         filtered_edges=len(work),
         input_edges=input_edges,
         timers=timers,

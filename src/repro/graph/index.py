@@ -18,7 +18,7 @@ vertex sets U and V.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 import pandas as pd
@@ -161,14 +161,8 @@ class TemporalBipartiteIndex:
         return self.gamma_v.get(v, {}).get(t, set())
 
     # ------------------------------------------------------------------
-    # Derived sets and orders
+    # Derived orders
     # ------------------------------------------------------------------
-    def t_of_v(self, v: int, tau_u: int) -> FrozenSet[int]:
-        """``T(v) = {t : δ(v,t) ≥ τ_U}`` (paper Lemma 3.2)."""
-        return frozenset(
-            t for t, us in self.gamma_v.get(v, {}).items() if len(us) >= tau_u
-        )
-
     def degree_rank(self) -> np.ndarray:
         """VFree's ID reorder (Algorithm 4 line 3): ``rank[c]`` of V code ``c``.
 

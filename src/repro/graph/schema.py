@@ -1,18 +1,21 @@
 """Edge schema and builders for temporal bipartite graphs.
 
 A temporal bipartite graph ``G = (U, V, E)`` is represented in Spark as a
-DataFrame of distinct temporal edges with columns
+DataFrame of temporal edges with columns
 
 - ``u``  (long)  — vertex id on the U side,
 - ``v``  (long)  — vertex id on the V side,
 - ``t``  (long)  — integer interaction timestamp (paper §2.1, footnote 1).
 
+Rows may repeat: the index (``np.unique``) and ``gfcore_spark``
+(``distinct()``) each reduce the frame to its set of edges.
 ``edges_from_pandas`` builds the columns as long; ``validate_edges`` takes
 any integral type.
 
-The frame ``edges_from_pandas`` returns holds its rows as Arrow batches in
-an RDD (a ``LogicalRDD`` in the plan, one partition per Arrow batch), not
-as a ``LocalRelation`` whose rows are part of the plan: Catalyst walks a
+``edges_from_pandas`` ships the rows as Arrow batches whatever the
+session's Arrow setting, and its frame holds them in an RDD (a
+``LogicalRDD`` in the plan, one partition per Arrow batch), not as a
+``LocalRelation`` whose rows are part of the plan: Catalyst walks a
 ``LocalRelation``'s rows in every optimizer rule that maps expressions, so
 planning a query over one costs time in proportion to its rows (DESIGN.md
 §2). Over an RDD-backed frame, planning costs the same at any row count.
@@ -23,6 +26,7 @@ different vertices), matching the paper's disjoint vertex sets.
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import IntegralType, LongType, StructField, StructType
 
@@ -46,29 +50,25 @@ _LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
 
 
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Build a distinct temporal-edge DataFrame from a pandas frame.
+    """Build a temporal-edge DataFrame from a pandas frame, repeats kept.
 
-    Duplicate rows are dropped on the driver, where the frame already is,
-    so the Spark plan carries no ``distinct`` shuffle. Raises ``ValueError``
-    for a missing, repeated or non-integer column, or a value outside
-    int64, as :func:`repro.graph.index.edge_columns` does, before any call
-    to ``spark``.
+    Raises ``ValueError`` for a missing, repeated or non-integer column, or
+    a value outside int64, as :func:`repro.graph.index.edge_columns` does,
+    before any call to ``spark``.
 
-    With Arrow on (``spark.sql.execution.arrow.pyspark.enabled``), the
-    frame's rows are Arrow batches in an RDD, not in its plan, so that
-    planning a query over it does not grow with its rows: the call sets
+    The columns go to ``createDataFrame`` as a ``pyarrow.Table``: Arrow
+    batches with or without ``spark.sql.execution.arrow.pyspark.enabled``.
+    So that the batches sit in an RDD, not in the plan, the call sets
     ``spark.sql.execution.arrow.localRelationThreshold`` to 0 for its one
     ``createDataFrame`` and then restores it (unsets it if it was unset).
     The setting is session-wide, so a query another thread builds from
-    local data in that moment is RDD-backed too. With Arrow off, pyspark
-    pickles the rows one by one into an RDD instead, which is far slower.
+    local data in that moment is RDD-backed too.
     """
-    pdf = pd.DataFrame(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
-    pdf = pdf.drop_duplicates(ignore_index=True)
+    table = pa.table(dict(zip(EDGE_COLUMNS, edge_columns(pdf))))
     saved = spark.conf.get(_LOCAL_RELATION_THRESHOLD, None)
     spark.conf.set(_LOCAL_RELATION_THRESHOLD, 0)
     try:
-        return spark.createDataFrame(pdf, schema=EDGE_SCHEMA)
+        return spark.createDataFrame(table, schema=EDGE_SCHEMA)
     finally:
         if saved is None:
             spark.conf.unset(_LOCAL_RELATION_THRESHOLD)

@@ -78,4 +78,5 @@ def mfg_run(
 ) -> MFGRun:
     """A hand-built :class:`MFGRun`, to drive the table formatters and the
     jobs' exit checks without running a kernel."""
-    return MFGRun(algorithm, params, groups or {}, wall_s, cm_s, 0, 0, timers)
+    timers = {"cm": cm_s, **timers}
+    return MFGRun(algorithm, params, groups or {}, wall_s, 0, 0, timers)

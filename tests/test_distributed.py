@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark import SparkConf
 from pyspark.sql import functions as F
@@ -198,13 +199,6 @@ def test_distributed_rejects_fractional_column_before_spark(spark, column):
         spark, f"validate-fractional-{column}", edges, (2, 2, 3),
         f"integer.*'{column}'",
     )
-
-
-def test_edges_from_pandas_drops_duplicate_rows(spark):
-    pdf = figure2_edges()
-    edges = edges_from_pandas(spark, pd.concat([pdf, pdf.iloc[::3]]))
-    got = sorted(map(tuple, edges.toPandas().values.tolist()))
-    assert got == sorted(map(tuple, pdf.values.tolist()))
 
 
 def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
@@ -541,23 +535,84 @@ def test_driver_stops_between_roots_and_ships_the_rest(
 def test_duplicate_rows_do_not_change_the_groups(
     spark, monkeypatch, fanout_ends, budget
 ):
-    """A third of the rows repeated, peeled on the driver (``default``) or
-    by Spark (``zero``)."""
+    """A third of the rows repeated, in a frame from local rows and in one
+    from ``edges_from_pandas``, which keeps the repeats; peeled on the
+    driver (``default``) or by Spark (``zero``)."""
     g = random_temporal_graph(4, n_u=6, n_v=8, n_t=5, density=0.45)
     triples = sorted(g.edges_iter())
-    dup = spark.createDataFrame(triples + triples[::3], "u long, v long, t long")
-    assert dup.count() > dup.distinct().count() == len(triples)
+    rows = triples + triples[::3]
+    frames = (
+        spark.createDataFrame(rows, "u long, v long, t long"),
+        edges_from_pandas(spark, pd.DataFrame(rows, columns=list(EDGE_COLUMNS))),
+    )
+    for dup in frames:
+        assert dup.count() > dup.distinct().count() == len(triples)
     if budget == "zero":
         _force_budget(monkeypatch, 0)
     expected = vfree(gfcore_local(g, 2, 2, 2), 2, 2, 2)
     assert expected
     for fanout_s in fanout_ends:
-        assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected, fanout_s
+        for dup in frames:
+            assert enumerate_mfg_distributed(dup, 2, 2, 2) == expected, fanout_s
 
 
 def test_empty_input_gives_no_groups(spark):
     empty = spark.createDataFrame([], "u long, v long, t long")
     assert enumerate_mfg_distributed(empty, 2, 2, 2) == {}
+
+
+# ----------------------------------------------------------------------
+# Edges go in and out as Arrow, whatever the session's Arrow setting
+# ----------------------------------------------------------------------
+
+#: pyspark's switch between Arrow and pickled rows for pandas frames.
+ARROW_ENABLED = "spark.sql.execution.arrow.pyspark.enabled"
+
+
+@pytest.fixture()
+def arrow_off(spark):
+    """The shared session with ``ARROW_ENABLED`` off, restored after."""
+    saved = spark.conf.get(ARROW_ENABLED)
+    spark.conf.set(ARROW_ENABLED, "false")
+    yield
+    spark.conf.set(ARROW_ENABLED, saved)
+
+
+@pytest.mark.parametrize("budget", ["default", "zero", "unpeeled"])
+def test_arrow_off_session_builds_and_collects_through_arrow(
+    spark, monkeypatch, arrow_off, fanout_ends, budget
+):
+    """``edges_from_pandas`` hands ``createDataFrame`` a ``pyarrow.Table``
+    and gets an RDD-backed frame, and the call never collects through
+    ``toPandas``, which with Arrow off pickles every row. The groups are
+    the sequential ones, peeled on the driver (``default``), by Spark
+    (``zero``) or not at all (``unpeeled``)."""
+    pdf, params = _random_case()
+    create = spark.createDataFrame
+    received = []
+
+    def recording(data, *args, **kwargs):
+        received.append(type(data))
+        return create(data, *args, **kwargs)
+
+    monkeypatch.setattr(spark, "createDataFrame", recording)
+    edges = edges_from_pandas(spark, pdf)
+    assert received == [pa.Table]
+    assert not edges.isLocal()
+
+    def to_pandas(self):
+        raise AssertionError("DataFrame.toPandas called")
+
+    monkeypatch.setattr(type(edges), "toPandas", to_pandas)
+    if budget == "zero":
+        _force_budget(monkeypatch, 0)
+    peel = budget != "unpeeled"
+    index = TemporalBipartiteIndex.from_pandas(pdf)
+    expected = vfree(gfcore_local(index, *params) if peel else index, *params)
+    assert expected
+    for fanout_s in fanout_ends:
+        got = enumerate_mfg_distributed(edges, *params, apply_graph_filter=peel)
+        assert got == expected, fanout_s
 
 
 # ----------------------------------------------------------------------

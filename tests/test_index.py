@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.freq import support_timestamps
 from repro.graph.index import TemporalBipartiteIndex
 from repro.graph.schema import edges_from_pandas
 from tests.conftest import random_triples
@@ -84,8 +85,9 @@ class TestNeighborhoods:
 class TestDerived:
     def test_t_of_v(self, small):
         # δ(10, 0) = 1, δ(10, 1) = 2.
-        assert small.t_of_v(10, 2) == frozenset({1})
-        assert small.t_of_v(10, 1) == frozenset({0, 1})
+        # T(v) (Lemma 3.2) is the support of {v} (Definition 2.4).
+        assert support_timestamps(small, [10], 2) == frozenset({1})
+        assert support_timestamps(small, [10], 1) == frozenset({0, 1})
 
     def test_v_edge_keys_multiplicity(self, small):
         # v=10 has edges (u1,t0), (u1,t1), (u2,t1); u1 and u2 have codes 0

@@ -75,8 +75,9 @@ def test_run_mfg_driver_path_starts_no_spark():
 
 def test_run_mfg_distributed_path_gives_the_driver_groups():
     """``--distributed`` on D14 at sf=0.1 prints the driver run's groups.
-    Its session has Arrow on, so the edge frame it builds keeps its rows
-    out of the plan; the job's call is wrapped to report both."""
+    Its session leaves Arrow at Spark's default, off, and the edge frame it
+    builds still keeps its rows out of the plan; the job's call is wrapped
+    to report both."""
     args = ["--dataset", "D14", "--sf", "0.1"]
     driver = _run_job("run_mfg", *args)
     assert driver.returncode == 0, driver.stderr
@@ -107,7 +108,7 @@ def test_run_mfg_distributed_path_gives_the_driver_groups():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "#arrow true local False" in proc.stderr
+    assert "#arrow false local False" in proc.stderr
     head, *groups = proc.stdout.splitlines()
     driver_head, *driver_groups = driver.stdout.splitlines()
     assert head == driver_head.replace("distributed=False", "distributed=True")

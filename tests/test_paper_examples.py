@@ -133,7 +133,7 @@ class TestExamples42to44:
 
     def test_survived_timestamps_of_v1(self, fig2):
         # δ(v1, t) ≥ τ_U = 2 exactly at t ∈ {1, 2, 3, 4}.
-        assert fig2.t_of_v(1, 2) == frozenset({1, 2, 3, 4})
+        assert support_timestamps(fig2, [1], 2) == frozenset({1, 2, 3, 4})
 
     def test_cv_star_of_v1v2(self, fig2):
         # Example 4.4: C_V*({v1, v2}) = {v3, v5}.

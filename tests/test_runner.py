@@ -25,7 +25,7 @@ def test_runner_all_algorithms(fig2, alg):
     assert isinstance(run, MFGRun)
     assert run.groups == FIG2_MFGS
     assert run.wall_s > 0
-    assert run.n_groups == 3
+    assert len(run.groups) == 3
 
 
 def test_runner_rejects_unknown_algorithm(fig2):

@@ -11,6 +11,7 @@ import duckdb
 import pandas as pd
 import pytest
 
+from repro.core.freq import support_timestamps
 from repro.experiments import datasets
 from repro.experiments.table2 import run_table2
 from repro.graph import stats
@@ -98,11 +99,16 @@ class TestDegreesAgainstDuckDB:
         )
 
     def test_t_of_v(self, edge_frames, which):
-        """``T(v)`` (Lemma 3.2) as FilterV reads it, ``index.t_of_v``."""
+        """``T(v)`` (Lemma 3.2) as FilterV reads it: the support of
+        ``{v}``, ``support_timestamps(index, [v], τ_U)``."""
         _, pdf, index = edge_frames[which]
         assert_equivalent(
             pd.DataFrame(
-                ((v, t) for v in index.v_ids.tolist() for t in index.t_of_v(v, 2)),
+                (
+                    (v, t)
+                    for v in index.v_ids.tolist()
+                    for t in support_timestamps(index, [v], 2)
+                ),
                 columns=["v", "t"],
             ),
             """
@@ -116,7 +122,10 @@ class TestDegreesAgainstDuckDB:
     def test_v_frequency(self, edge_frames, which):
         """``|T(v)|``, the bound on any group frequency containing v."""
         _, pdf, index = edge_frames[which]
-        freq = ((v, len(index.t_of_v(v, 2))) for v in index.v_ids.tolist())
+        freq = (
+            (v, len(support_timestamps(index, [v], 2)))
+            for v in index.v_ids.tolist()
+        )
         assert_equivalent(
             pd.DataFrame(((v, f) for v, f in freq if f), columns=["v", "freq"]),
             """
