@@ -1,8 +1,9 @@
 """Exponential reference oracle for MFG enumeration.
 
-Enumerates every subset of V (so only usable for ``|V| ≲ 16``), computes its
-support-timestamp count naively, and keeps the maximal frequent groups. The
-production algorithms (BK-ALG, FilterV, VFree) are all tested against this.
+Enumerates every subset of V (so it accepts at most :data:`MAX_V` vertices),
+computes its support timestamps naively, and keeps the maximal frequent
+groups. The production algorithms (BK-ALG, FilterV, VFree) are all tested
+against this.
 """
 from __future__ import annotations
 

@@ -3,49 +3,56 @@
 Two implementations, as in the paper:
 
 - the *naive* method (§3.1 "Discussion"): for every timestamp, intersect the
-  m-neighbor sets of all members and compare against ``τ_U``;
+  m-neighbor sets of all members and compare against ``τ_U``. It is one scan
+  over ``T``; ``support_timestamps`` collects all it yields and
+  ``is_frequent_naive`` stops at the ``λ``-th;
 - *CheckFRE* (Algorithm 3): Reborn Array (RA) and Update Array (UA)
   counting, vectorized over the temporal edges of the members of ``V_S``.
 """
 from __future__ import annotations
 
-from typing import Iterable, Set
+from itertools import islice
+from typing import Iterable, Iterator, Set
 
 import numpy as np
 
 from repro.graph.index import TemporalBipartiteIndex
 
 
+def _naive_supports(
+    index: TemporalBipartiteIndex, vs: Iterable[int], tau_u: int
+) -> Iterator[int]:
+    """Yield the support timestamps of ``V_S`` (Definition 2.4) in ``T`` order.
+
+    The paper's naive method (§3.1 "Discussion"): "for each timestamp
+    t ∈ T, we check whether there exists no less than τ_U common
+    m-neighbors of all the vertices in V_S". Each timestamp intersects the
+    members' ``Γ(v,t)`` in turn, stopping once the intersection is empty.
+    """
+    vs = list(vs)
+    if not vs:
+        return
+    first, rest = vs[0], vs[1:]
+    for t in index.t_ids.tolist():
+        common = index.m_neighbors_v(first, t)
+        for v in rest:
+            if not common:
+                break
+            common = common & index.m_neighbors_v(v, t)
+        if len(common) >= tau_u:
+            yield t
+
+
 def support_timestamps(
     index: TemporalBipartiteIndex, vs: Iterable[int], tau_u: int
 ) -> Set[int]:
-    """All support timestamps of ``V_S`` (Definition 2.4), computed naively.
+    """All support timestamps of ``V_S`` (Definition 2.4), by the naive scan.
 
     ``t`` supports ``V_S`` iff ``|⋂_{v∈V_S} Γ(v,t)| ≥ τ_U`` (the size
     constraint ``|V_S| ≥ τ_V`` is a property of the *group*, checked by the
     callers, not of the timestamp).
     """
-    vs = list(vs)
-    if not vs:
-        return set()
-    out: Set[int] = set()
-    # Iterate the timestamps of the member with the fewest active snapshots.
-    anchor = min(vs, key=lambda v: len(index.gamma_v.get(v, {})))
-    for t, us in index.gamma_v.get(anchor, {}).items():
-        if len(us) < tau_u:
-            continue
-        common = us
-        ok = True
-        for v in vs:
-            if v == anchor:
-                continue
-            common = common & index.m_neighbors_v(v, t)
-            if len(common) < tau_u:
-                ok = False
-                break
-        if ok:
-            out.add(t)
-    return out
+    return set(_naive_supports(index, vs, tau_u))
 
 
 def is_frequent_naive(
@@ -53,31 +60,12 @@ def is_frequent_naive(
 ) -> bool:
     """The paper's *naive* frequency check (§3.1 "Discussion").
 
-    "For each timestamp t ∈ T, we check whether there exists no less than
-    τ_U common m-neighbors of all the vertices in V_S" — a full scan over
-    every timestamp with per-timestamp m-neighbor set intersection. This is
-    deliberately the slow method that CheckFRE replaces; it is the one used
-    by BK-ALG and the FilterV-VM / FilterV- ablations.
+    The same scan as :func:`support_timestamps`, stopped at the ``λ``-th
+    support timestamp. This is deliberately the slow method that CheckFRE
+    replaces; it is the one used by BK-ALG and the FilterV-VM / FilterV-
+    ablations.
     """
-    vs = list(vs)
-    if not vs:
-        return False
-    count = 0
-    for t in index.t_ids.tolist():
-        # "Compute the common m-neighbors of V_S ∪ {v}" — the full
-        # intersection chain, per timestamp (stopping only when it is
-        # already empty), then test the τ_U threshold.
-        common = None
-        for v in vs:
-            nbrs = index.m_neighbors_v(v, t)
-            common = nbrs if common is None else common & nbrs
-            if not common:
-                break
-        if common is not None and len(common) >= tau_u:
-            count += 1
-            if count >= lam:
-                return True
-    return False
+    return sum(1 for _ in islice(_naive_supports(index, vs, tau_u), lam)) == lam
 
 
 def check_fre(

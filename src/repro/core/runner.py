@@ -41,7 +41,6 @@ class MFGRun:
     groups: Dict[FrozenSet[int], Set[int]]
     wall_s: float
     filtered_edges: int
-    input_edges: int
     timers: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -65,7 +64,6 @@ def run_mfg(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}")
     t_start = time.perf_counter()
-    input_edges = len(index)
     if algorithm == "vfree-":
         work = index  # the only variant evaluated without the graph filter
     else:
@@ -99,6 +97,5 @@ def run_mfg(
         groups=groups,
         wall_s=wall,
         filtered_edges=len(work),
-        input_edges=input_edges,
         timers=timers,
     )

@@ -86,14 +86,6 @@ def condition_id(name: str) -> int:
     return _NOISE_V + 10 + CONDITIONS.index(name)
 
 
-def condition_name(vid: int) -> str:
-    """Inverse of :func:`condition_id` (unnamed ids get a numeric label)."""
-    off = vid - _NOISE_V - 10
-    if 0 <= off < len(CONDITIONS):
-        return CONDITIONS[off]
-    return f"COND#{vid}"
-
-
 def build_case_graph(seed: int = 42) -> pd.DataFrame:
     """The D1 case-study graph: noise + temporal MFG signal + static-only
     comorbidity clusters."""
@@ -140,15 +132,15 @@ def run_table3() -> Table3Result:
     """Run MFG / MSG / MFB on the case graph; names only (noise dropped)."""
     index = TemporalBipartiteIndex.from_pandas(build_case_graph())
     p = CASE_PARAMS
+    names = {condition_id(n): n for n in CONDITIONS}
 
     def named(groups) -> List[Tuple[str, ...]]:
-        out = []
-        for vs in groups:
-            names = tuple(
-                sorted(condition_name(v) for v in vs)
-            )
-            if all(not n.startswith("COND#") for n in names):
-                out.append(names)
+        # Groups with an unnamed (noise) condition are dropped.
+        out = [
+            tuple(sorted(names[v] for v in vs))
+            for vs in groups
+            if names.keys() >= set(vs)
+        ]
         # Largest groups first — the paper shows these as partial results.
         return sorted(out, key=lambda g: (-len(g), g))
 

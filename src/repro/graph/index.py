@@ -4,7 +4,10 @@ The graph is held once, as its distinct temporal edges over dense codes:
 sorted distinct ``u_ids``, ``v_ids`` and ``t_ids``, and per edge the int64
 codes ``u``, ``v`` and ``t`` into them (``t`` is the timestamp's position
 in ``T``), sorted by ``(v, t, u)``. Both constructors go through
-:func:`edge_columns`, the one validation path. The edge's ``(t, u)`` slot
+:func:`edge_columns`, the one validation path. The edge contract itself,
+``EDGE_COLUMNS`` and :func:`check_edge_fields`, is stated here once and
+serves a Spark frame's schema too (``repro.graph.schema``); this module
+imports no pyspark. The edge's ``(t, u)`` slot
 ``tu = t·|U| + u`` is the one key of the paper's ``(t, u)`` counters. The
 GFCore peel, VFree, MFB and MSG read these arrays directly; CheckFRE reads
 the per-vertex runs of ``tu`` (``v_edge_keys``). The set-based kernels
@@ -26,27 +29,48 @@ import pandas as pd
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
-    """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
+#: The edge columns, in the order every edge frame and Arrow table uses.
+EDGE_COLUMNS = ("u", "v", "t")
 
-    Raises ``ValueError`` naming the column for a missing, repeated or
-    non-integer column, so that no fractional id or timestamp is silently
-    truncated, for a missing value in a nullable integer column, and for an
-    unsigned value above the int64 maximum, so that none silently wraps.
+
+def check_edge_fields(fields: Iterable[Tuple[str, str, bool]]) -> None:
+    """The edge contract over a frame's ``(name, type name, is-integral)``
+    fields, one per column: ``u``, ``v`` and ``t`` each appear exactly once
+    and have an integer type.
+
+    Raises ``ValueError`` naming the columns that are missing, repeated or
+    not integer, so that no fractional id or timestamp is silently
+    truncated. It reads the fields only, so it serves a pandas frame's
+    dtypes and a Spark frame's schema alike.
     """
-    missing = [c for c in "uvt" if c not in pdf.columns]
+    fields = list(fields)
+    names = [name for name, _, _ in fields]
+    missing = [c for c in EDGE_COLUMNS if c not in names]
     if missing:
         raise ValueError(f"edge frame missing columns {missing}")
-    repeated = [c for c in "uvt" if list(pdf.columns).count(c) > 1]
+    repeated = [c for c in EDGE_COLUMNS if names.count(c) > 1]
     if repeated:
         raise ValueError(f"edge frame repeats columns {repeated}")
     bad = {
-        c: str(pdf[c].dtype)
-        for c in "uvt"
-        if not pd.api.types.is_integer_dtype(pdf[c].dtype)
+        name: type_name
+        for name, type_name, integral in fields
+        if name in EDGE_COLUMNS and not integral
     }
     if bad:
         raise ValueError(f"edge columns must be integer (int64), got {bad}")
+
+
+def edge_columns(pdf: pd.DataFrame) -> List[np.ndarray]:
+    """The ``u``, ``v`` and ``t`` columns of an edge frame, as int64 arrays.
+
+    Raises ``ValueError`` as :func:`check_edge_fields` does over the frame's
+    dtypes, for a missing value in a nullable integer column, and for an
+    unsigned value above the int64 maximum, so that none silently wraps.
+    """
+    check_edge_fields(
+        (name, str(dtype), pd.api.types.is_integer_dtype(dtype))
+        for name, dtype in pdf.dtypes.items()
+    )
     # Only a pandas extension dtype, such as Int64, holds a missing integer.
     holes = [
         c for c in "uvt" if not isinstance(pdf[c].dtype, np.dtype) and pdf[c].hasnans

@@ -1,15 +1,19 @@
-"""Edge schema and builders for temporal bipartite graphs.
+"""Spark edge frames for temporal bipartite graphs.
 
 A temporal bipartite graph ``G = (U, V, E)`` is represented in Spark as a
 DataFrame of temporal edges with columns
 
-- ``u``  (long)  — vertex id on the U side,
-- ``v``  (long)  — vertex id on the V side,
-- ``t``  (long)  — integer interaction timestamp (paper §2.1, footnote 1).
+- ``u`` — vertex id on the U side,
+- ``v`` — vertex id on the V side,
+- ``t`` — integer interaction timestamp (paper §2.1, footnote 1).
 
-Rows may repeat: the index (``np.unique``) and ``gfcore_spark``
-(``distinct()``) each reduce the frame to its set of edges.
-``edges_from_pandas`` builds the columns as long; ``validate_edges`` takes
+The contract on these columns is stated once, in
+:mod:`repro.graph.index` (``EDGE_COLUMNS``, ``check_edge_fields``):
+``edges_from_pandas`` applies it to the pandas frame and ``validate_edges``
+to the Spark schema, so both raise the same messages. Rows may repeat: the
+index (``np.unique``) and ``gfcore_spark`` (``distinct()``) each reduce the
+frame to its set of edges. ``edges_from_pandas`` builds the columns as
+long, from the int64 arrays of ``edge_columns``; ``validate_edges`` takes
 any integral type.
 
 ``edges_from_pandas`` ships the rows as Arrow batches whatever the
@@ -28,21 +32,9 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import IntegralType, LongType, StructField, StructType
+from pyspark.sql.types import IntegralType
 
-from repro.graph.index import edge_columns
-
-#: Canonical Spark schema for temporal edge DataFrames.
-EDGE_SCHEMA = StructType(
-    [
-        StructField("u", LongType(), False),
-        StructField("v", LongType(), False),
-        StructField("t", LongType(), False),
-    ]
-)
-
-#: Column order used everywhere for edge frames.
-EDGE_COLUMNS = ("u", "v", "t")
+from repro.graph.index import EDGE_COLUMNS, check_edge_fields, edge_columns
 
 #: Arrow data below this many bytes becomes a ``LocalRelation``; at 0 it
 #: never does.
@@ -68,7 +60,7 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     saved = spark.conf.get(_LOCAL_RELATION_THRESHOLD, None)
     spark.conf.set(_LOCAL_RELATION_THRESHOLD, 0)
     try:
-        return spark.createDataFrame(table, schema=EDGE_SCHEMA)
+        return spark.createDataFrame(table)
     finally:
         if saved is None:
             spark.conf.unset(_LOCAL_RELATION_THRESHOLD)
@@ -80,8 +72,9 @@ def validate_edges(edges: DataFrame) -> DataFrame:
     """Validate an edge DataFrame's shape; returns it with columns ``u, v, t``.
 
     Raises ``ValueError`` when a required column is missing, repeated or not
-    of an integral type, as :func:`repro.graph.index.edge_columns` does for a
-    pandas frame; the check reads the schema only, so it runs no Spark job.
+    of an integral type, from :func:`repro.graph.index.check_edge_fields`
+    over the schema, as ``edge_columns`` does for a pandas frame; it reads
+    the schema only, so it runs no Spark job.
     A frame whose columns are exactly ``u, v, t`` is returned as it is;
     any other is selected down to them by name. No column is cast: the
     driver widens the collected columns to int64 in ``edge_columns``, and
@@ -91,19 +84,10 @@ def validate_edges(edges: DataFrame) -> DataFrame:
     (DESIGN.md §2). A frame from ``edges_from_pandas`` has no rows in its
     plan.
     """
-    missing = [c for c in EDGE_COLUMNS if c not in edges.columns]
-    if missing:
-        raise ValueError(f"edge DataFrame missing columns {missing}")
-    repeated = [c for c in EDGE_COLUMNS if edges.columns.count(c) > 1]
-    if repeated:
-        raise ValueError(f"edge DataFrame repeats columns {repeated}")
-    bad = {
-        f.name: f.dataType.simpleString()
+    check_edge_fields(
+        (f.name, f.dataType.simpleString(), isinstance(f.dataType, IntegralType))
         for f in edges.schema.fields
-        if f.name in EDGE_COLUMNS and not isinstance(f.dataType, IntegralType)
-    }
-    if bad:
-        raise ValueError(f"edge columns must be integer, got {bad}")
+    )
     if tuple(edges.columns) == EDGE_COLUMNS:
         return edges
     return edges.select(*EDGE_COLUMNS)

@@ -79,4 +79,4 @@ def mfg_run(
     """A hand-built :class:`MFGRun`, to drive the table formatters and the
     jobs' exit checks without running a kernel."""
     timers = {"cm": cm_s, **timers}
-    return MFGRun(algorithm, params, groups or {}, wall_s, 0, 0, timers)
+    return MFGRun(algorithm, params, groups or {}, wall_s, 0, timers)

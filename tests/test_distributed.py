@@ -21,8 +21,8 @@ from repro.core.distributed import driver_edge_budget, enumerate_mfg_distributed
 from repro.core.gfcore import gfcore_local, gfcore_spark
 from repro.core.vfree import vfree
 from repro.experiments import datasets
-from repro.graph.index import TemporalBipartiteIndex
-from repro.graph.schema import EDGE_COLUMNS, edges_from_pandas, validate_edges
+from repro.graph.index import EDGE_COLUMNS, TemporalBipartiteIndex
+from repro.graph.schema import edges_from_pandas, validate_edges
 from repro.graph.stats import degree_order_v
 from repro.synth_data import figure2_edges
 from tests.conftest import FIG2_MFGS, random_temporal_graph
@@ -207,6 +207,43 @@ def test_edges_from_pandas_rejects_fractional_or_missing_column(spark):
         edges_from_pandas(spark, fractional)
     with pytest.raises(ValueError, match="missing.*'t'"):
         edges_from_pandas(spark, figure2_edges().drop(columns="t"))
+
+
+#: One defect of the edge contract per case: how to put it into a pandas
+#: frame and into a Spark frame, and the type each frame then names (None
+#: when the message names no type).
+EDGE_DEFECTS = {
+    "missing": (
+        lambda pdf: pdf.drop(columns="t"), lambda sdf: sdf.drop("t"), None
+    ),
+    "repeated": (
+        lambda pdf: pdf[["u", "v", "t", "v"]],
+        lambda sdf: sdf.select("u", "v", "t", "v"),
+        None,
+    ),
+    "fractional": (
+        lambda pdf: pdf.assign(u=pdf["u"] + 0.5),
+        lambda sdf: sdf.withColumn("u", F.col("u") + 0.5),
+        ("float64", "double"),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(EDGE_DEFECTS))
+def test_pandas_and_spark_frames_raise_the_same_edge_message(spark, defect):
+    """The same defect raises the same message from a pandas frame and from
+    a Spark frame; a fractional column is named with each frame's own type
+    (pandas ``float64``, Spark ``double``)."""
+    to_pandas, to_spark, types = EDGE_DEFECTS[defect]
+    pdf = figure2_edges()
+    with pytest.raises(ValueError) as from_pandas:
+        edges_from_pandas(spark, to_pandas(pdf))
+    with pytest.raises(ValueError) as from_spark:
+        validate_edges(to_spark(edges_from_pandas(spark, pdf)))
+    messages = [str(from_pandas.value), str(from_spark.value)]
+    if types is not None:
+        messages = [m.replace(t, "<type>") for m, t in zip(messages, types)]
+    assert messages[0] == messages[1], messages
 
 
 def test_edges_from_pandas_names_a_nullable_column_with_a_missing_value(spark):

@@ -1,5 +1,6 @@
-"""Frequency-verification tests: CheckFRE ≡ naive ≡ support-timestamp
-counting, on the paper example and on randomized graphs."""
+"""Frequency-verification tests: the naive scan (``support_timestamps`` and
+``is_frequent_naive``) and CheckFRE each against the definitional count
+``_support_reference``, on the paper example and on randomized graphs."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -45,7 +46,7 @@ def test_check_fre_equals_naive(seed, tau_u, lam):
     vees = sorted(g.n_v)
     for size in (1, 2, 3):
         for vs in combinations(vees[:5], size):
-            expected = len(support_timestamps(g, vs, tau_u)) >= lam
+            expected = len(_support_reference(g, vs, tau_u)) >= lam
             assert check_fre(g, vs, tau_u, lam) is expected
             assert is_frequent_naive(g, vs, tau_u, lam) is expected
 
